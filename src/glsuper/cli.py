@@ -1,7 +1,7 @@
 """Command-line front end: classify, invariants, ehrhart, resolve.
 
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 internal
-assertion failure.  All numeric output is exact (integers, or rationals
+check or assertion failure.  All numeric output is exact (integers, or rationals
 rendered as strings); floating point appears only in growth-fit slope
 fields, which are labeled as such.
 """
@@ -14,7 +14,7 @@ import random
 import sys
 
 from .dimensions import projective_dim_bounds, weyl_dim_g0
-from .errors import DomainError, FitError, GlsuperError, ResourceLimitError
+from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
 from .oracle import (
     gl11_minimal_resolution,
@@ -344,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"glsuper: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalCheckError as exc:
+        print(f"glsuper: internal check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DomainError, ResourceLimitError, GlsuperError) as exc:
         print(f"glsuper: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

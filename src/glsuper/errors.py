@@ -23,3 +23,7 @@ class ResourceLimitError(GlsuperError, RuntimeError):
 
 class FitError(GlsuperError, RuntimeError):
     """No consistent quasipolynomial fit within the allowed period bound."""
+
+
+class InternalCheckError(GlsuperError, RuntimeError):
+    """A built object fails an identity it must satisfy (a bracket relation, a grading)."""

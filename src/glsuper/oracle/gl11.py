@@ -17,6 +17,7 @@ from fractions import Fraction
 from ..errors import DomainError, ResourceLimitError
 from ..ratlinalg import (
     Matrix,
+    SparseCols,
     columns_of,
     is_zero,
     mat_mul,
@@ -24,7 +25,7 @@ from ..ratlinalg import (
     nullspace,
     rank as mat_rank,
     solve,
-    zeros,
+    to_dense,
 )
 from ..weights import SuperParams
 from .modules import MatrixModule
@@ -32,40 +33,39 @@ from .modules import MatrixModule
 GL11 = SuperParams(1, 1)
 MAX_DEPTH = 25
 
-# odd action patterns shared by every projective cover P(w),
+# odd action columns shared by every projective cover P(w),
 # on the ordered basis (1, y, x, yx) tensor the weight-w line
-_X_PATTERN = ((0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0))
-_Y_PATTERN = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0))
+_X_COLS = ({2: 1}, {3: -1}, {}, {})
+_Y_COLS = ({1: 1}, {}, {3: 1}, {})
 _P_WEIGHT_OFFSETS = (0, -1, 1, 0)
 
 
-def _weight_module(diag: list[int], x: Matrix, y: Matrix, parity: tuple[int, ...]) -> MatrixModule:
-    dim = len(diag)
-    e11 = zeros(dim, dim)
-    e22 = zeros(dim, dim)
-    for i, w in enumerate(diag):
-        e11[i][i] = Fraction(w)
-        e22[i][i] = Fraction(-w)
-    return MatrixModule(GL11, dim, {(1, 1): e11, (2, 2): e22, (1, 2): x, (2, 1): y}, parity)
+def _tile(pattern: tuple[dict[int, int], ...], copies: int) -> SparseCols:
+    """Block-diagonal sum of copies of a 4 x 4 pattern."""
+    return [{4 * s + i: v for i, v in col.items()} for s in range(copies) for col in pattern]
+
+
+def _weight_module(
+    diag: list[int], x: SparseCols, y: SparseCols, parity: tuple[int, ...]
+) -> MatrixModule:
+    e11 = [{i: w} if w else {} for i, w in enumerate(diag)]
+    e22 = [{i: -w} if w else {} for i, w in enumerate(diag)]
+    return MatrixModule(GL11, len(diag), {(1, 1): e11, (2, 2): e22, (1, 2): x, (2, 1): y}, parity)
 
 
 def gl11_projective(lam: int) -> MatrixModule:
     """P(lam): four dimensional, head and socle L(lam), middle layer L(lam-1) + L(lam+1)."""
-    x = [[Fraction(v) for v in row] for row in _X_PATTERN]
-    y = [[Fraction(v) for v in row] for row in _Y_PATTERN]
-    return _weight_module([lam + o for o in _P_WEIGHT_OFFSETS], x, y, (0, 1, 1, 0))
+    weights = [lam + o for o in _P_WEIGHT_OFFSETS]
+    return _weight_module(weights, _tile(_X_COLS, 1), _tile(_Y_COLS, 1), (0, 1, 1, 0))
 
 
 def gl11_kac(lam: int) -> MatrixModule:
     """K(lam): two dimensional with head L(lam) and socle L(lam-1)."""
-    x = zeros(2, 2)
-    y = zeros(2, 2)
-    y[1][0] = Fraction(1)
-    return _weight_module([lam, lam - 1], x, y, (0, 1))
+    return _weight_module([lam, lam - 1], [{}, {}], [{1: 1}, {}], (0, 1))
 
 
 def gl11_simple(lam: int) -> MatrixModule:
-    return _weight_module([lam], zeros(1, 1), zeros(1, 1), (0,))
+    return _weight_module([lam], [{}], [{}], (0,))
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,8 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
 
     diag = target.weight_diagonal()
     weights = [entry[0] for entry in diag]
-    x = target.action(1, 2)
-    y = target.action(2, 1)
+    x = to_dense(target.action(1, 2), target.dim)
+    y = to_dense(target.action(2, 1), target.dim)
 
     degrees: list[dict[int, int]] = []
     prev_embed: Matrix | None = None
@@ -203,13 +203,8 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
                 kernel_weights.append(w)
         assert len(kernel_weights) == dim_p - mat_rank(phi), "kernel dimension mismatch"
 
-        x_p = zeros(dim_p, dim_p)
-        y_p = zeros(dim_p, dim_p)
-        for s in range(len(reps)):
-            for i in range(4):
-                for j in range(4):
-                    x_p[4 * s + i][4 * s + j] = Fraction(_X_PATTERN[i][j])
-                    y_p[4 * s + i][4 * s + j] = Fraction(_Y_PATTERN[i][j])
+        x_p = to_dense(_tile(_X_COLS, len(reps)), dim_p)
+        y_p = to_dense(_tile(_Y_COLS, len(reps)), dim_p)
 
         embed = [[kernel_cols[j][i] for j in range(len(kernel_cols))] for i in range(dim_p)]
         if kernel_cols:

@@ -2,7 +2,8 @@
 
 Basis vectors are the interlacing triangular patterns over the highest
 weight; the generator action uses the rational (non-orthonormal)
-normalization, so every matrix entry is an exact Fraction.  Targets that
+normalization, so every matrix entry is exact: an int when integral, a
+Fraction otherwise, stored in sparse columns.  Targets that
 leave the pattern lattice are dropped, which is consistent because the
 numerators vanish on the boundary in the raising direction and the dropped
 lowering terms correspond to the zero vector.
@@ -14,19 +15,51 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import DomainError, ResourceLimitError
-from ..ratlinalg import (
-    Matrix,
-    mat_mul,
-    mat_sub,
-    sparse_add_scaled,
-    sparse_mul,
-    to_sparse_cols,
-    zeros,
-)
+from ..errors import DomainError, InternalCheckError, ResourceLimitError
+from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 
 GT_MAX_DIM = 10_000
 BRACKET_CHECK_MAX_DIM = 400
+
+Unit = tuple[int, int]
+
+
+def unit_parity(m: int, unit: Unit) -> int:
+    """Z2 degree of E_ij in gl(m|n): odd iff exactly one index exceeds m (gl(r) is m = r)."""
+    i, j = unit
+    return int((i <= m) != (j <= m))
+
+
+def super_bracket_units(m: int, left: Unit, right: Unit) -> list[tuple[Unit, int]]:
+    """[E_ab, E_cd] = delta_bc E_ad - (-1)^{parities} delta_da E_cb as unit terms."""
+    (a, b), (c, d) = left, right
+    sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
+    terms: list[tuple[Unit, int]] = []
+    if b == c:
+        terms.append(((a, d), 1))
+    if d == a:
+        terms.append(((c, b), -sign))
+    return terms
+
+
+def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> None:
+    """Exact superbracket relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
+
+    Each unordered pair is checked once: swapping X and Y multiplies both
+    sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
+    exactly when this one does.
+    """
+    units = sorted(actions)
+    for pos, left in enumerate(units):
+        for right in units[pos:]:
+            sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
+            terms = [(actions[u], c) for u, c in super_bracket_units(m, left, right)]
+            xy = sparse_mul(actions[left], actions[right])
+            yx = sparse_mul(actions[right], actions[left]) if right != left else xy
+            # compared as XY = sign * YX + [X, Y], so most pairs need no addition
+            expected = yx if sign == 1 and not terms else sparse_add_scaled([(yx, sign)] + terms, dim)
+            if xy != expected:
+                raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
 @dataclass(frozen=True)
@@ -78,18 +111,19 @@ def weyl_dim_gl(hw: tuple[int, ...]) -> int:
     for i in range(r):
         for j in range(i + 1, r):
             value *= Fraction(hw[i] - hw[j] + j - i, j - i)
-    assert value.denominator == 1 and value > 0
+    if value.denominator != 1 or value <= 0:
+        raise InternalCheckError(f"Weyl dimension of {hw} is {value}, not a positive integer")
     return int(value)
 
 
 @dataclass(frozen=True)
 class GlRep:
-    """A simple gl(r) module: pattern basis plus matrices for every unit E_{ij}."""
+    """A simple gl(r) module: pattern basis plus sparse columns for every unit E_{ij}."""
 
     r: int
     highest_weight: tuple[int, ...]
     patterns: tuple[GTPattern, ...]
-    actions: dict[tuple[int, int], Matrix]
+    actions: dict[Unit, SparseCols]
 
     @property
     def dim(self) -> int:
@@ -97,20 +131,7 @@ class GlRep:
 
     def check_brackets(self) -> None:
         """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, exactly, on all unit pairs."""
-        cols = {u: to_sparse_cols(m) for u, m in self.actions.items()}
-        units = sorted(self.actions)
-        for left in units:
-            for right in units:
-                lhs = sparse_add_scaled(
-                    [(sparse_mul(cols[left], cols[right]), 1), (sparse_mul(cols[right], cols[left]), -1)],
-                    self.dim,
-                )
-                expected = []
-                if left[1] == right[0]:
-                    expected.append((cols[(left[0], right[1])], 1))
-                if right[1] == left[0]:
-                    expected.append((cols[(right[0], left[1])], -1))
-                assert lhs == sparse_add_scaled(expected, self.dim), (left, right)
+        check_super_brackets(self.actions, self.dim, self.r)
 
 
 def _l_value(row: tuple[int, ...], i: int) -> int:
@@ -136,63 +157,62 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     if dim > GT_MAX_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds {GT_MAX_DIM}")
     patterns = gt_patterns(hw)
-    assert len(patterns) == dim
+    if len(patterns) != dim:
+        raise InternalCheckError(f"{len(patterns)} patterns for Weyl dimension {dim}")
     index = {p: i for i, p in enumerate(patterns)}
-    actions: dict[tuple[int, int], Matrix] = {}
+    actions: dict[Unit, SparseCols] = {}
 
     for k in range(1, r + 1):
-        mat = zeros(dim, dim)
+        cols: SparseCols = []
         for col, p in enumerate(patterns):
             total = sum(p.row_of_length(k))
             if k > 1:
                 total -= sum(p.row_of_length(k - 1))
-            mat[col][col] = Fraction(total)
-        actions[(k, k)] = mat
+            cols.append({col: total} if total else {})
+        actions[(k, k)] = cols
 
     for k in range(1, r):
-        raise_mat = zeros(dim, dim)
-        lower_mat = zeros(dim, dim)
+        raise_cols: SparseCols = [dict() for _ in range(dim)]
+        lower_cols: SparseCols = [dict() for _ in range(dim)]
         for col, p in enumerate(patterns):
             row_k = p.row_of_length(k)
             row_up = p.row_of_length(k + 1)
             row_down = p.row_of_length(k - 1) if k > 1 else ()
             for i in range(1, k + 1):
                 li = _l_value(row_k, i)
-                denom = Fraction(1)
+                denom = 1
                 for j in range(1, k + 1):
                     if j != i:
                         denom *= li - _l_value(row_k, j)
                 # E_{k,k+1}: bump entry i up by one
                 target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] + 1,) + row_k[i:])
                 if target is not None:
-                    numer = Fraction(1)
+                    numer = 1
                     for j in range(1, k + 2):
                         numer *= li - _l_value(row_up, j)
                     if numer:
-                        raise_mat[index[target]][col] += -numer / denom
+                        raise_cols[col][index[target]] = exact(Fraction(-numer, denom))
                 # E_{k+1,k}: bump entry i down by one
                 target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] - 1,) + row_k[i:])
                 if target is not None:
-                    numer = Fraction(1)
+                    numer = 1
                     for j in range(1, k):
                         numer *= li - _l_value(row_down, j)
                     if numer:
-                        lower_mat[index[target]][col] += numer / denom
-        actions[(k, k + 1)] = raise_mat
-        actions[(k + 1, k)] = lower_mat
+                        lower_cols[col][index[target]] = exact(Fraction(numer, denom))
+        actions[(k, k + 1)] = raise_cols
+        actions[(k + 1, k)] = lower_cols
+
+    def commutator(a: SparseCols, b: SparseCols) -> SparseCols:
+        cols = sparse_add_scaled([(sparse_mul(a, b), 1), (sparse_mul(b, a), -1)], dim)
+        return [{i: exact(v) for i, v in col.items()} for col in cols]
 
     # remaining units by bracketing outward from the superdiagonals
     for offset in range(2, r):
         for i in range(1, r - offset + 1):
             j = i + offset
-            actions[(i, j)] = mat_sub(
-                mat_mul(actions[(i, j - 1)], actions[(j - 1, j)]),
-                mat_mul(actions[(j - 1, j)], actions[(i, j - 1)]),
-            )
-            actions[(j, i)] = mat_sub(
-                mat_mul(actions[(j, j - 1)], actions[(j - 1, i)]),
-                mat_mul(actions[(j - 1, i)], actions[(j, j - 1)]),
-            )
+            actions[(i, j)] = commutator(actions[(i, j - 1)], actions[(j - 1, j)])
+            actions[(j, i)] = commutator(actions[(j, j - 1)], actions[(j - 1, i)])
     rep = GlRep(r, hw, tuple(patterns), actions)
     if dim <= BRACKET_CHECK_MAX_DIM:
         rep.check_brackets()

@@ -1,12 +1,14 @@
-"""Small dense exact linear algebra kernel over Fraction.
+"""Small exact linear algebra kernel over Fraction.
 
-Matrices are lists of row lists whose entries are ints or Fractions; all
-results are exact.  Multiplication skips zero entries, which matters because
-the representation matrices downstream are very sparse.
+Dense matrices are lists of row lists whose entries are ints or Fractions;
+all results are exact.  Multiplication skips zero entries.  Module actions
+use the sparse column layout below instead, because representation matrices
+are very sparse and mostly integral.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
@@ -15,13 +17,6 @@ Vector = list[Fraction]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = Fraction(1)
-    return mat
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -54,32 +49,8 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
 def is_zero(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -156,31 +127,29 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     return x
 
 
-def column_stack(columns: list[Vector]) -> Matrix:
-    if not columns:
-        return []
-    return [list(entries) for entries in zip(*columns)]
-
-
 def columns_of(a: Matrix) -> list[Vector]:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
 
 
-# column-major sparse helpers: cols[j] maps row index to a nonzero entry
+# column-major sparse helpers: cols[j] maps row index to a nonzero entry,
+# an int when the entry is integral and a Fraction otherwise
 
-SparseCols = list[dict[int, Fraction]]
+SparseCols = list[dict[int, int | Fraction]]
 
 
-def to_sparse_cols(mat: Matrix) -> SparseCols:
-    n = len(mat)
-    cols: SparseCols = [dict() for _ in range(len(mat[0]) if n else 0)]
-    for i, row in enumerate(mat):
-        for j, val in enumerate(row):
-            if val:
-                cols[j][i] = Fraction(val)
-    return cols
+def exact(value: int | Fraction) -> int | Fraction:
+    """The entry as an int when it is integral, else as a Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def to_dense(cols: SparseCols, rows: int) -> Matrix:
+    mat = zeros(rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, val in col.items():
+            mat[i][j] = Fraction(val)
+    return mat
 
 
 def sparse_mul(a_cols: SparseCols, b_cols: SparseCols) -> SparseCols:
@@ -209,3 +178,37 @@ def sparse_add_scaled(terms: list[tuple[SparseCols, int]], ncols: int) -> Sparse
                 elif i in oj:
                     del oj[i]
     return out
+
+
+def sparse_rank(cols: SparseCols) -> int:
+    """Rank by fraction-free elimination on sparse columns.
+
+    Each column is scaled to integers and reduced against the pivot columns
+    found so far.  A pivot column is keyed by its lowest row index, and a
+    reduction step cancels that row, so the lowest row of the column being
+    reduced strictly rises until it is zero or opens a new pivot.  Removing
+    the content after each step keeps the integers small.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in cols:
+        scale = math.lcm(*(val.denominator for val in col.values()))
+        vec = {i: int(val * scale) for i, val in col.items() if val}
+        while vec:
+            low = min(vec)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = vec
+                break
+            a, b = pivot[low], vec[low]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            out = {i: a * val for i, val in vec.items()} if a != 1 else dict(vec)
+            for i, val in pivot.items():
+                v = out.get(i, 0) - b * val
+                if v:
+                    out[i] = v
+                else:
+                    del out[i]
+            content = math.gcd(*out.values())
+            vec = {i: val // content for i, val in out.items()} if content > 1 else out
+    return len(pivots)

@@ -136,12 +136,6 @@ def bilinear_form(a: Weight, b: Weight) -> int:
     return pos - neg
 
 
-def form_with_eps(w: Weight, s: int) -> int:
-    """(w, eps_s) without building the basis weight; s is 1-based."""
-    c = w.coeffs[s - 1]
-    return c if s <= w.params.m else -c
-
-
 def rho(params: SuperParams) -> Weight:
     """The shifted Weyl vector (m, m-1, ..., 1, -1, -2, ..., -n)."""
     m, n = params.m, params.n

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import glsuper.cli
 from glsuper.cli import main
+from glsuper.errors import InternalCheckError
 from glsuper.weights import SuperParams, Weight, weight_from_json
 
 
@@ -80,6 +82,18 @@ def test_invariants_verify_agreement(capsys):
     assert checks["rank_variety_side_+1"]["agree"] is True
     assert checks["rank_variety_side_+1"]["orbit_dim"] == 2
     assert checks["rank_variety_side_-1"]["measured"] == 0
+
+
+def test_internal_check_failure_exits_70(capsys, monkeypatch):
+    def broken(_w):
+        raise InternalCheckError("bracket relation fails for (1, 2), (2, 1)")
+
+    monkeypatch.setattr(glsuper.cli, "kac_module", broken)
+    code, _, err = run(
+        capsys, "invariants", "--m", "2", "--n", "1", "--kind", "kac", "--weight", "0,0,0", "--verify"
+    )
+    assert code == 70
+    assert "internal check failure: bracket relation fails" in err
 
 
 def test_invariants_simple_gl11_verify(capsys):

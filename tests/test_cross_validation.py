@@ -21,6 +21,7 @@ CASES = [
     (SuperParams(2, 2), (1, 0, 0, -1)),
     (SuperParams(2, 2), (2, 0, 0, -1)),
     (SuperParams(3, 2), (0, 0, 0, 0, 0)),
+    (SuperParams(3, 3), (0,) * 6),      # atypicality 3, dim 512
 ]
 
 

@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import glsuper
 from glsuper.dimensions import weyl_dim_g0
-from glsuper.errors import DomainError, ResourceLimitError
+from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
+from glsuper.oracle import modules
 from glsuper.oracle.modules import (
+    KAC_MAX_DIM,
+    MatrixModule,
     direct_sum,
     dual_kac_module,
     f_odd_element,
@@ -15,7 +24,7 @@ from glsuper.oracle.modules import (
     trivial_module,
     trivial_summand_check,
 )
-from glsuper.ratlinalg import rank as mat_rank
+from glsuper.ratlinalg import sparse_rank
 from glsuper.weights import SuperParams, Weight
 
 P11 = SuperParams(1, 1)
@@ -26,16 +35,16 @@ P22 = SuperParams(2, 2)
 def test_gl11_kac_module_actions():
     module = kac_module(Weight.zero(P11))
     assert module.dim == 2
-    assert mat_rank(module.action(1, 2)) == 0
-    assert mat_rank(module.action(2, 1)) == 1
+    assert sparse_rank(module.action(1, 2)) == 0
+    assert sparse_rank(module.action(2, 1)) == 1
     assert module.parity == (0, 1)
 
 
 def test_gl11_dual_kac_module_actions():
     module = dual_kac_module(Weight.zero(P11))
     assert module.dim == 2
-    assert mat_rank(module.action(2, 1)) == 0
-    assert mat_rank(module.action(1, 2)) == 1
+    assert sparse_rank(module.action(2, 1)) == 0
+    assert sparse_rank(module.action(1, 2)) == 1
 
 
 def test_kac_dual_dims_agree():
@@ -88,6 +97,62 @@ def test_dual_kac_g0_character_matches_kac():
 def test_kac_scale_guard():
     with pytest.raises(ResourceLimitError):
         kac_module(Weight(SuperParams(4, 4), (40, 20, 10, 0, 0, -10, -20, -40)))
+
+
+def test_kac_scale_guard_fires_before_any_work(monkeypatch):
+    # 2^12 * dim L0(1,0,0,0) = 16384, the smallest gl(4|3) module above the cap
+    def no_work(*args):
+        raise AssertionError("the even simple module was built before the guard")
+
+    monkeypatch.setattr(modules, "gl_simple", no_work)
+    w = Weight(SuperParams(4, 3), (1, 0, 0, 0, 0, 0, 0))
+    for build in (kac_module, dual_kac_module):
+        with pytest.raises(ResourceLimitError, match=f"16384 exceeds {KAC_MAX_DIM}"):
+            build(w)
+
+
+# E11 = 1, E22 = 0 and zero odd units break [E12, E21] = E11 + E22
+BROKEN_GL11 = {(1, 1): [{0: 1}], (2, 2): [{}], (1, 2): [{}], (2, 1): [{}]}
+
+
+def test_broken_bracket_rejected():
+    with pytest.raises(InternalCheckError, match="bracket relation fails"):
+        MatrixModule(P11, 1, BROKEN_GL11, (0,))
+
+
+def test_broken_parity_rejected():
+    # an odd unit that maps an even vector to an even vector
+    actions = {(1, 1): [{}, {}], (2, 2): [{}, {}], (1, 2): [{1: 1}, {}], (2, 1): [{}, {}]}
+    with pytest.raises(InternalCheckError, match="parity"):
+        MatrixModule(P11, 2, actions, (0, 0))
+
+
+def test_malformed_layout_rejected():
+    short = {**BROKEN_GL11, (1, 1): []}
+    with pytest.raises(ParameterError, match="columns"):
+        MatrixModule(P11, 1, short, (0,))
+    outside = {**BROKEN_GL11, (1, 1): [{1: 1}]}
+    with pytest.raises(ParameterError, match="row index"):
+        MatrixModule(P11, 1, outside, (0,))
+
+
+def test_broken_module_rejected_under_optimize():
+    # the gates raise instead of asserting, so python -O keeps them
+    script = (
+        "from glsuper.errors import InternalCheckError\n"
+        "from glsuper.oracle.modules import MatrixModule\n"
+        "from glsuper.weights import SuperParams\n"
+        "try:\n"
+        f"    MatrixModule(SuperParams(1, 1), 1, {BROKEN_GL11!r}, (0,))\n"
+        "except InternalCheckError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: bracket relation fails"), proc.stdout
 
 
 def test_odd_projectivity_trivial_module():

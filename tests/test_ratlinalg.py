@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsuper.ratlinalg import (
-    identity,
+    exact,
     mat_mul,
     mat_vec,
     nullspace,
@@ -12,9 +14,8 @@ from glsuper.ratlinalg import (
     rref,
     solve,
     sparse_mul,
-    to_sparse_cols,
-    transpose,
-    zeros,
+    sparse_rank,
+    to_dense,
 )
 
 
@@ -26,8 +27,15 @@ def random_matrix(rng, rows, cols, density=0.7):
     ]
 
 
+def random_cols(rng, rows, cols, density):
+    return [
+        {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in range(rows) if rng.random() < density}
+        for _ in range(cols)
+    ]
+
+
 def test_rref_identity():
-    eye = identity(3)
+    eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     reduced, pivots = rref(eye)
     assert reduced == eye and pivots == [0, 1, 2]
 
@@ -67,17 +75,49 @@ def test_sparse_mul_matches_dense():
     rng = random.Random(47)
     for _ in range(15):
         n = rng.randint(1, 6)
-        a = random_matrix(rng, n, n, density=0.4)
-        b = random_matrix(rng, n, n, density=0.4)
-        dense = mat_mul(a, b)
-        sparse = sparse_mul(to_sparse_cols(a), to_sparse_cols(b))
-        rebuilt = zeros(n, n)
-        for j, col in enumerate(sparse):
-            for i, val in col.items():
-                rebuilt[i][j] = val
-        assert rebuilt == dense
+        a = random_cols(rng, n, n, density=0.4)
+        b = random_cols(rng, n, n, density=0.4)
+        dense = mat_mul(to_dense(a, n), to_dense(b, n))
+        assert to_dense(sparse_mul(a, b), n) == dense
 
 
-def test_transpose():
-    mat = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert transpose(transpose(mat)) == mat
+def test_exact_prefers_int():
+    assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+    assert exact(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(exact(-5)) is int
+
+
+# entries as the module layout stores them: ints, and Fractions that may be fractional
+_entries = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(0, 7))
+    matrix = [
+        {i: v for i, v in draw(st.dictionaries(st.integers(0, rows - 1), _entries, max_size=rows)).items() if v}
+        for _ in range(cols)
+    ]
+    # rank-deficient cases: append combinations of the drawn columns
+    for _ in range(draw(st.integers(0, 3)) if matrix else 0):
+        a, b = draw(st.sampled_from(matrix)), draw(st.sampled_from(matrix))
+        ca, cb = draw(_entries), draw(_entries)
+        combo = {i: ca * a.get(i, 0) + cb * b.get(i, 0) for i in set(a) | set(b)}
+        matrix.append({i: v for i, v in combo.items() if v})
+    return rows, matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_rank_matches_dense_rref(case):
+    rows, matrix = case
+    dense = to_dense(matrix, rows)
+    assert sparse_rank(matrix) == len(rref(dense)[1])
+
+
+def test_sparse_rank_zero_and_repeated_columns():
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {}, {}]) == 0
+    col = {0: Fraction(1, 2), 3: Fraction(-2, 3)}
+    assert sparse_rank([col, {}, dict(col), {i: 6 * v for i, v in col.items()}]) == 1
