@@ -25,6 +25,7 @@ from .oracle import (
 )
 from .polytope import (
     ENUM_MAX_D,
+    check_count_cost,
     count_lattice_points,
     eval_poly,
     fit_quasipolynomial,
@@ -200,23 +201,33 @@ def cmd_ehrhart(args) -> int:
     if dmax > ENUM_MAX_D:
         truncated = f"table truncated at d={ENUM_MAX_D} (resource bound)"
         dmax = ENUM_MAX_D
-    counts = {d: count_lattice_points(k, d) for d in range(dmin, dmax + 1)}
-    # the fit may need more dilations than the table shows
-    fit_max = min(ENUM_MAX_D, (2 * k + 1) * polytope_denominator(k))
-    fit_counts = dict(counts)
-    for d in range(1, fit_max + 1):
-        if d not in fit_counts:
-            fit_counts[d] = count_lattice_points(k, d)
+    table = range(dmin, dmax + 1)
+    # rejects k before vertices(k) runs, and a table too costly to count
+    check_count_cost(k, table)
+    # the fit tries every period up to the vertex-denominator lcm and needs
+    # 2k samples per residue class plus a holdout, so counts up to fit_max
+    period_bound = polytope_denominator(k)
+    fit_max = (2 * k + 1) * period_bound
+    fit_ds = range(1, fit_max + 1) if fit_max <= ENUM_MAX_D else range(0)
+    ds = sorted({*table, *fit_ds})
+    check_count_cost(k, ds)
+    counts = {d: count_lattice_points(k, d) for d in ds}
+    quasi = None
+    bound = None
     fit_error = None
+    if not fit_ds:
+        fit_error = (
+            f"the fit needs counts up to d={fit_max} ({2 * k + 1} x the period "
+            f"bound {period_bound}), beyond the count bound d<={ENUM_MAX_D}"
+        )
+    else:
+        try:
+            quasi = fit_quasipolynomial(counts, k)
+            bound = lower_bound_poly(quasi)
+        except FitError as exc:
+            fit_error = str(exc)
     rows = []
-    try:
-        quasi = fit_quasipolynomial(fit_counts, k)
-        bound = lower_bound_poly(quasi)
-    except FitError as exc:
-        quasi = None
-        bound = None
-        fit_error = str(exc)
-    for d in range(dmin, dmax + 1):
+    for d in table:
         row = {"d": d, "count": counts[d]}
         if bound is not None:
             qd = eval_poly(bound, d)

@@ -7,6 +7,7 @@ import pytest
 import glsuper.cli
 from glsuper.cli import main
 from glsuper.errors import InternalCheckError
+from glsuper.polytope import enumerate_lattice_points
 from glsuper.weights import SuperParams, Weight, weight_from_json
 
 
@@ -121,6 +122,27 @@ def test_ehrhart_k1(capsys):
     code, out, _ = run(capsys, "ehrhart", "--k", "1")
     assert code == 0
     assert json.loads(out)["degenerate_point"] == [-1, -1]
+
+
+def test_ehrhart_k3_reports_infeasible_fit(capsys):
+    code, out, _ = run(capsys, "ehrhart", "--k", "3", "--dmax", "40")
+    assert code == 0
+    payload = json.loads(out)
+    assert "d=3780" in payload["fit_error"] and "d<=200" in payload["fit_error"]
+    assert payload["quasipolynomial"] is None and payload["lower_bound_poly"] is None
+    assert [row["d"] for row in payload["rows"]] == list(range(1, 41))
+    for row in payload["rows"]:
+        assert row == {"d": row["d"], "count": len(enumerate_lattice_points(3, row["d"]))}
+
+
+def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):
+    def counting(*_args):
+        raise AssertionError("counted before the cost guard")
+
+    monkeypatch.setattr(glsuper.cli, "count_lattice_points", counting)
+    code, out, err = run(capsys, "ehrhart", "--k", "3", "--dmax", "200")
+    assert code == 2 and out == ""
+    assert "predicts 64802666 steps, over the bound 10000000" in err
 
 
 def test_ehrhart_csv_deterministic(capsys):

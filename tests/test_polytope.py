@@ -1,13 +1,30 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glsuper.errors import DegenerateCaseError, DomainError, FitError, ResourceLimitError
+import glsuper
+from glsuper import polytope
+from glsuper.errors import (
+    DegenerateCaseError,
+    DomainError,
+    FitError,
+    InternalCheckError,
+    ResourceLimitError,
+)
 from glsuper.polytope import (
+    COUNT_MAX_STEPS,
     QuasiPolynomial,
     brute_force_count,
     build_polytope,
+    check_count_cost,
     count_lattice_points,
     enumerate_lattice_points,
     eval_poly,
@@ -114,6 +131,49 @@ def test_enumeration_guards():
         enumerate_lattice_points(4, 5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, d) for d in range(1, 41)] + [(3, d) for d in range(1, 21)]))
+def test_count_matches_enumeration(case):
+    k, d = case
+    # __wrapped__ bypasses the cache, so every example runs the kernel
+    assert count_lattice_points.__wrapped__(k, d) == len(enumerate_lattice_points(k, d))
+
+
+def test_count_builds_no_points(monkeypatch):
+    def listing(*_args):
+        raise AssertionError("count_lattice_points listed the points")
+
+    monkeypatch.setattr(polytope, "enumerate_lattice_points", listing)
+    tracemalloc.start()
+    try:
+        # 244,229 points: a list of them would take tens of MB
+        assert count_lattice_points.__wrapped__(3, 100) == 244_229
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_count_guards():
+    with pytest.raises(DegenerateCaseError):
+        count_lattice_points(1, 5)
+    with pytest.raises(DomainError):
+        count_lattice_points(2, 0)
+    with pytest.raises(ResourceLimitError):
+        count_lattice_points(2, 10_000)
+    with pytest.raises(ResourceLimitError):
+        count_lattice_points(4, 5)
+    check_count_cost(2, range(1, 201))
+    check_count_cost(3, range(1, 101))
+    over = f"predicts 64802666 steps, over the bound {COUNT_MAX_STEPS}"
+    with pytest.raises(ResourceLimitError, match=over):
+        check_count_cost(3, range(1, 201))
+    with pytest.raises(DegenerateCaseError):
+        check_count_cost(1, [5])
+    with pytest.raises(ResourceLimitError, match="k=4"):
+        check_count_cost(4, [5])
+
+
 def test_vertices_and_denominator():
     verts = vertices(2)
     assert len(verts) == 6
@@ -201,6 +261,32 @@ def test_quasipolynomial_constant_case():
     constant = QuasiPolynomial(1, ((Fraction(5),),))
     assert lower_bound_poly(constant) == (Fraction(5),)
     assert constant.value(17) == 5
+
+
+def test_quasipolynomial_rejects_mismatched_constituents():
+    with pytest.raises(InternalCheckError, match="leading coefficient"):
+        QuasiPolynomial(2, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))))
+    with pytest.raises(InternalCheckError, match="period"):
+        QuasiPolynomial(2, ((Fraction(1),),))
+
+
+def test_quasipolynomial_rejected_under_optimize():
+    # the gates raise instead of asserting, so python -O keeps them
+    script = (
+        "from fractions import Fraction\n"
+        "from glsuper.errors import InternalCheckError\n"
+        "from glsuper.polytope import QuasiPolynomial\n"
+        "try:\n"
+        "    QuasiPolynomial(2, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))))\n"
+        "except InternalCheckError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: constituents must share"), proc.stdout
 
 
 def test_counts_eventually_monotone_per_residue(counts_k2):
