@@ -1,7 +1,7 @@
 """Command-line front end: classify, invariants, ehrhart, resolve.
 
 Exit codes: 0 success, 2 domain error, 64 usage error, 70 internal
-check or assertion failure.  All numeric output is exact (integers, or rationals
+check failure.  All numeric output is exact (integers, or rationals
 rendered as strings); floating point appears only in growth-fit slope
 fields, which are labeled as such.
 """
@@ -258,6 +258,13 @@ def cmd_resolve(args) -> int:
 
     if not 0 <= args.depth <= MAX_DEPTH:
         raise argparse.ArgumentTypeError(f"--depth must lie in 0..{MAX_DEPTH}")
+    # the KL table pairs lam = -W with mu = W, and kl_poly_gl11 refuses a
+    # separation beyond MAX_DEPTH; refuse it here, before the resolution runs
+    if args.kl_window is not None and 2 * args.kl_window > MAX_DEPTH:
+        raise ResourceLimitError(
+            f"--kl-window {args.kl_window} needs pair separation {2 * args.kl_window}, "
+            f"beyond resolution depth {MAX_DEPTH}"
+        )
     lam = args.weight
     trace = gl11_minimal_resolution(args.target, lam, args.depth)
     fit = measured_growth(trace, "dimP")
@@ -361,9 +368,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ResourceLimitError, GlsuperError) as exc:
         print(f"glsuper: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except AssertionError as exc:
-        print(f"glsuper: internal assertion failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

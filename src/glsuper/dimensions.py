@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
-from .errors import DomainError, ParameterError, ResourceLimitError
+from .errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from .weights import (
     SuperParams,
     Weight,
@@ -72,7 +72,8 @@ def weyl_dim_g0(mu: Weight) -> int:
     for root in positive_roots_n(params):
         alpha = root.to_weight(params)
         value *= Fraction(bilinear_form(shifted_n, alpha), bilinear_form(rho_n(params), alpha))
-    assert value.denominator == 1 and value > 0, f"Weyl quotient {value} is not a positive integer"
+    if value.denominator != 1 or value <= 0:
+        raise InternalCheckError(f"Weyl quotient {value} is not a positive integer")
     return int(value)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .weights import SuperParams, Weight, atypicality
 
 
@@ -39,7 +39,11 @@ class InvariantReport:
     dim_rank_minus: int
 
     def __post_init__(self) -> None:
-        assert self.complexity == self.dim_X + self.dim_V_g_g0
+        if self.complexity != self.dim_X + self.dim_V_g_g0:
+            raise InternalCheckError(
+                f"complexity {self.complexity} is not dim_X + dim_V_g_g0 "
+                f"= {self.dim_X} + {self.dim_V_g_g0}"
+            )
 
     def to_json(self) -> dict:
         return {

@@ -1,32 +1,26 @@
 """Minimal projective resolutions in the principal block of gl(1|1).
 
 Modules in the block are weight-graded with one-dimensional simples L(w) and
-four-dimensional projective covers P(w).  A resolution step computes the
+four-dimensional projective covers P(w); the odd unit x = E12 raises the
+weight by one and y = E21 lowers it by one.  A resolution step computes the
 head of the current kernel (the cokernel of the odd action), covers each
-head vector by one projective, lifts the surjection by exact linear algebra,
-and recurses on the new kernel.  Minimality is structural: each projective
-covers exactly one head vector.
+head vector by one projective, and takes the kernel of the cover with the
+induced x and y on it.  Every step works one weight space at a time, so it
+only ever eliminates the few columns of a single weight.  Minimality is
+structural: each projective covers exactly one head vector.
+
+The block is translation invariant, so one resolution of K(0) serves every
+Kazhdan-Lusztig polynomial: K(lam) resolves as K(0) shifted by lam.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..errors import DomainError, ResourceLimitError
-from ..ratlinalg import (
-    Matrix,
-    SparseCols,
-    columns_of,
-    is_zero,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank as mat_rank,
-    solve,
-    to_dense,
-)
+from ..errors import DomainError, InternalCheckError, ResourceLimitError
+from ..ratlinalg import SparseCols, exact, rref, sparse_mul, sparse_rank
 from ..weights import SuperParams
 from .modules import MatrixModule
 
@@ -100,38 +94,93 @@ class ResolutionTrace:
         ]
 
 
-def _head_representatives(weights: list[int], x: Matrix, y: Matrix) -> list[tuple[int, int]]:
-    """Standard basis indices spanning N / (xN + yN), one pair (weight, index) each."""
+def _by_weight(weights: list[int]) -> dict[int, list[int]]:
+    blocks: dict[int, list[int]] = {}
+    for i, w in enumerate(weights):
+        blocks.setdefault(w, []).append(i)
+    return blocks
+
+
+def _check_graded(
+    name: str, cols: SparseCols, source: list[int], target: list[int], shift: int
+) -> None:
+    """Column j maps the weight source[j] into the weight source[j] + shift of the target."""
+    for j, col in enumerate(cols):
+        w = source[j]
+        if any(target[i] != w + shift for i in col):
+            raise InternalCheckError(f"{name} does not map weight {w} to {w + shift}")
+
+
+def _head(blocks: dict[int, list[int]], x: SparseCols, y: SparseCols) -> list[tuple[int, int]]:
+    """Basis indices spanning N / (xN + yN), one pair (weight, index) each.
+
+    In weight w the image is spanned by x of weight w - 1 and y of weight
+    w + 1; the basis vectors off the pivot columns of its echelon form
+    complete it to the whole weight space.
+    """
     reps: list[tuple[int, int]] = []
-    image_cols = columns_of(x) + columns_of(y)
-    for w in sorted(set(weights)):
-        rows = [i for i, wt in enumerate(weights) if wt == w]
-        basis: list[list[Fraction]] = []
-
-        def reduce_against(vec: list[Fraction]) -> list[Fraction]:
-            for b in basis:
-                pivot = next(i for i, v in enumerate(b) if v)
-                if vec[pivot]:
-                    factor = vec[pivot] / b[pivot]
-                    vec = [v - factor * bv for v, bv in zip(vec, b)]
-            return vec
-
-        for col in image_cols:
-            vec = reduce_against([col[i] for i in rows])
-            if any(vec):
-                basis.append(vec)
-        for pos, row_idx in enumerate(rows):
-            probe = [Fraction(0)] * len(rows)
-            probe[pos] = Fraction(1)
-            vec = reduce_against(probe)
-            if any(vec):
-                basis.append(vec)
-                reps.append((w, row_idx))
+    for w in sorted(blocks):
+        rows = blocks[w]
+        image = [x[j] for j in blocks.get(w - 1, ())] + [y[j] for j in blocks.get(w + 1, ())]
+        pivots = set(rref([[col.get(i, 0) for i in rows] for col in image])[1])
+        reps.extend((w, i) for pos, i in enumerate(rows) if pos not in pivots)
     return reps
 
 
-def _restrict(mat: Matrix, rows: list[int], cols: list[int]) -> Matrix:
-    return [[mat[i][j] for j in cols] for i in rows]
+def _cover(x: SparseCols, y: SparseCols, reps: list[tuple[int, int]]) -> SparseCols:
+    """Columns of the cover of N by one P(w) per head vector: images of (1, y, x, yx)."""
+    yx = sparse_mul(y, [x[i] for _w, i in reps])
+    cols: SparseCols = []
+    for (_w, i), yxv in zip(reps, yx):
+        cols.extend(({i: 1}, y[i], x[i], yxv))
+    return cols
+
+
+def _kernel(
+    phi: SparseCols, p_weights: list[int], blocks: dict[int, list[int]]
+) -> tuple[SparseCols, list[int], dict[int, int]]:
+    """Kernel basis of the cover, weight by weight, one vector per free column.
+
+    Returns the basis as columns in P, their weights, and for each free
+    column of P the index of its basis vector: a kernel vector's
+    coordinates are its entries at the free columns.
+    """
+    p_blocks = _by_weight(p_weights)
+    embed: SparseCols = []
+    kernel_weights: list[int] = []
+    coordinate: dict[int, int] = {}
+    for w in sorted(p_blocks.keys() | blocks.keys()):
+        rows, cols = blocks.get(w, []), p_blocks.get(w, [])
+        reduced, pivots = rref([[phi[j].get(i, 0) for j in cols] for i in rows])
+        if len(pivots) != len(rows):
+            raise InternalCheckError(f"projective cover fails to surject onto weight {w}")
+        pivot_set = set(pivots)
+        for free in range(len(cols)):
+            if free in pivot_set:
+                continue
+            vec = {cols[free]: 1}
+            for r, p in enumerate(pivots):
+                if reduced[r][free]:
+                    vec[cols[p]] = exact(-reduced[r][free])
+            coordinate[cols[free]] = len(embed)
+            embed.append(vec)
+            kernel_weights.append(w)
+    return embed, kernel_weights, coordinate
+
+
+def _induced(
+    name: str, action: SparseCols, embed: SparseCols, coordinate: dict[int, int]
+) -> SparseCols:
+    """The action of P restricted to the kernel, in the kernel basis.
+
+    Reading coordinates off the free columns is exact only for vectors of
+    the kernel, so mapping the result back to P checks that it is one.
+    """
+    image = sparse_mul(action, embed)
+    induced = [{coordinate[i]: v for i, v in col.items() if i in coordinate} for col in image]
+    if sparse_mul(embed, induced) != image:
+        raise InternalCheckError(f"the kernel is not stable under {name}")
+    return induced
 
 
 def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
@@ -147,16 +196,18 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
     else:
         raise DomainError(f"unknown resolution target {kind!r}")
 
-    diag = target.weight_diagonal()
-    weights = [entry[0] for entry in diag]
-    x = to_dense(target.action(1, 2), target.dim)
-    y = to_dense(target.action(2, 1), target.dim)
+    weights = [entry[0] for entry in target.weight_diagonal()]
+    x = target.action(1, 2)
+    y = target.action(2, 1)
 
     degrees: list[dict[int, int]] = []
-    prev_embed: Matrix | None = None
-    prev_boundary: Matrix | None = None
+    prev_embed: SparseCols | None = None
+    prev_boundary: SparseCols | None = None
     for _d in range(depth + 1):
-        reps = _head_representatives(weights, x, y)
+        _check_graded("x", x, weights, weights, 1)
+        _check_graded("y", y, weights, weights, -1)
+        blocks = _by_weight(weights)
+        reps = _head(blocks, x, y)
         head: dict[int, int] = {}
         for w, _idx in reps:
             head[w] = head.get(w, 0) + 1
@@ -164,56 +215,21 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
         if not reps:
             continue
 
-        # one projective cover per head vector; columns are images of (1, y, x, yx)
-        x_cols = columns_of(x)
-        y_cols = columns_of(y)
-        phi_cols: list[list[Fraction]] = []
-        p_weights: list[int] = []
-        for w, idx in reps:
-            v = [Fraction(0)] * len(weights)
-            v[idx] = Fraction(1)
-            yv = list(y_cols[idx])
-            xv = list(x_cols[idx])
-            yxv = mat_vec(y, xv)
-            phi_cols.extend([v, yv, xv, yxv])
-            p_weights.extend(w + o for o in _P_WEIGHT_OFFSETS)
-        phi = [[phi_cols[j][i] for j in range(len(phi_cols))] for i in range(len(weights))]
-        assert mat_rank(phi) == len(weights), "projective cover fails to surject"
+        phi = _cover(x, y, reps)
+        p_weights = [w + o for w, _idx in reps for o in _P_WEIGHT_OFFSETS]
+        _check_graded("the cover", phi, p_weights, weights, 0)
 
-        boundary = phi if prev_embed is None else mat_mul(prev_embed, phi)
-        if prev_boundary is not None:
-            assert is_zero(mat_mul(prev_boundary, boundary)), "boundary composition is nonzero"
+        boundary = phi if prev_embed is None else sparse_mul(prev_embed, phi)
+        if prev_boundary is not None and any(sparse_mul(prev_boundary, boundary)):
+            raise InternalCheckError("boundary composition is nonzero")
         prev_boundary = boundary
 
-        # kernel, weight block by weight block, to keep the basis homogeneous
-        dim_p = len(p_weights)
-        kernel_cols: list[list[Fraction]] = []
-        kernel_weights: list[int] = []
-        for w in sorted(set(p_weights)):
-            cols_idx = [j for j, wt in enumerate(p_weights) if wt == w]
-            rows_idx = [i for i, wt in enumerate(weights) if wt == w]
-            sub = _restrict(phi, rows_idx, cols_idx)
-            if not rows_idx:
-                sub = [[Fraction(0)] * len(cols_idx)]
-            for vec in nullspace(sub):
-                full = [Fraction(0)] * dim_p
-                for j, val in zip(cols_idx, vec):
-                    full[j] = val
-                kernel_cols.append(full)
-                kernel_weights.append(w)
-        assert len(kernel_weights) == dim_p - mat_rank(phi), "kernel dimension mismatch"
-
-        x_p = to_dense(_tile(_X_COLS, len(reps)), dim_p)
-        y_p = to_dense(_tile(_Y_COLS, len(reps)), dim_p)
-
-        embed = [[kernel_cols[j][i] for j in range(len(kernel_cols))] for i in range(dim_p)]
-        if kernel_cols:
-            x = solve(embed, mat_mul(x_p, embed))
-            y = solve(embed, mat_mul(y_p, embed))
-        else:
-            x = []
-            y = []
-        weights = kernel_weights
+        embed, weights, coordinate = _kernel(phi, p_weights, blocks)
+        # the rank comes from an independent, fraction-free elimination
+        if len(embed) != len(p_weights) - sparse_rank(phi):
+            raise InternalCheckError("kernel dimension mismatch")
+        x = _induced("x", _tile(_X_COLS, len(reps)), embed, coordinate)
+        y = _induced("y", _tile(_Y_COLS, len(reps)), embed, coordinate)
         prev_embed = embed
 
     return ResolutionTrace(f"{kind}({lam})", depth, tuple(degrees))
@@ -228,11 +244,18 @@ def gl11_ext(trace: ResolutionTrace, mu: int, d: int) -> int:
     return trace.multiplicity(d, mu)
 
 
+@functools.cache
+def _kac_trace() -> ResolutionTrace:
+    """Resolution of K(0) to full depth; the block is translation invariant,
+    so the multiplicity of P(mu) in degree n for K(lam) is that of P(mu - lam)."""
+    return gl11_minimal_resolution("kac", 0, MAX_DEPTH)
+
+
 def kl_poly_gl11(lam: int, mu: int) -> list[int]:
     """Naive Kazhdan-Lusztig polynomial of the pair in the gl(1|1) principal block.
 
     Coefficients ascending in q; the empty list is the zero polynomial.
-    Asserts the structural constraints: constant term one when nonzero,
+    Checks the structural constraints: constant term one when nonzero,
     degree at most dim g_{-1} = 1, and value at one bounded by 1! = 1.
     """
     if mu - lam > MAX_DEPTH:
@@ -240,22 +263,26 @@ def kl_poly_gl11(lam: int, mu: int) -> list[int]:
             f"pair separation {mu - lam} needs resolution depth beyond {MAX_DEPTH}"
         )
     depth = min(MAX_DEPTH, max(2, mu - lam + 2))
-    trace = gl11_minimal_resolution("kac", lam, depth)
+    trace = _kac_trace()
     coeffs: dict[int, int] = {}
     for n in range(depth + 1):
-        mult = trace.multiplicity(n, mu)
+        mult = trace.multiplicity(n, mu - lam)
         if mult:
             exponent = (mu - lam) - n  # l is the identity on this block
-            assert exponent >= 0, "negative exponent in KL polynomial"
+            if exponent < 0:
+                raise InternalCheckError("negative exponent in KL polynomial")
             coeffs[exponent] = coeffs.get(exponent, 0) + mult
     if not coeffs:
         return []
     poly = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         poly[e] = c
-    assert poly[0] == 1, "constant term must be one"
-    assert len(poly) - 1 <= 1, "degree exceeds dim g_{-1}"
-    assert sum(poly) <= 1, "coefficient sum exceeds k!"
+    if poly[0] != 1:
+        raise InternalCheckError("constant term must be one")
+    if len(poly) - 1 > 1:
+        raise InternalCheckError("degree exceeds dim g_{-1}")
+    if sum(poly) > 1:
+        raise InternalCheckError("coefficient sum exceeds k!")
     return poly
 
 

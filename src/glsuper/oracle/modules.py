@@ -29,10 +29,17 @@ from .gt import (
     weyl_dim_gl,
 )
 
-# largest power-of-two dimension at which the costliest module, gl(12|1) K(0)
-# with 169 units, builds and passes its bracket check within 60 s and 2 GiB
-# (measured: 47 s, 187 MB on 2 CPUs with Python 3.11)
-KAC_MAX_DIM = 4096
+# Building a Kac module and checking its brackets takes about
+# (m+n)^3 * dim * b steps, b the bit length of the even part's dimension:
+# the check multiplies (m+n)^2 pairs of matrix units, the nonzeros per
+# column summed over all units grow like m+n, and larger Gelfand-Tsetlin
+# models carry fractions with larger denominators.  Measured on 2 CPUs with
+# Python 3.11 at up to 14 us per step: gl(4|3) K(0), 1,404,928 steps, 14.2 s;
+# gl(6|2) K(0), 2,097,152 steps, 20.6 s; gl(3|1) K(11,5,0|0), 1,257,984
+# steps, 4.4 s; gl(11|1) K(0), 3,538,944 steps, 27.7 s; gl(3|1)
+# K(25,12,0|0), 15,095,808 steps, 60 s.  At the slowest rate the bound is
+# about 29 s, under half the 60 s limit of one benchmark op.
+KAC_MAX_COST = 2_100_000
 
 OddElement = tuple[tuple[Unit, int], ...]
 
@@ -125,16 +132,26 @@ def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> Spars
     return cols
 
 
+def kac_cost(lam: Weight) -> tuple[int, int]:
+    """Dimension of K(lam) and its predicted build and bracket-check cost."""
+    m, n = lam.params.m, lam.params.n
+    dim_l0 = weyl_dim_gl(lam.coeffs[:m]) * weyl_dim_gl(lam.coeffs[m:])
+    dim = (1 << (m * n)) * dim_l0
+    return dim, (m + n) ** 3 * dim * dim_l0.bit_length()
+
+
 def _induced_module(lam: Weight, side: int) -> MatrixModule:
     """Kac module (side=+1, exterior algebra on g_{-1}) or its mirror (side=-1)."""
     require_dominant(lam)
     params = lam.params
     m, n = params.m, params.n
     nodd = m * n
-    dim_l0 = weyl_dim_gl(lam.coeffs[:m]) * weyl_dim_gl(lam.coeffs[m:])
-    dim = (1 << nodd) * dim_l0
-    if dim > KAC_MAX_DIM:
-        raise ResourceLimitError(f"module dimension {dim} exceeds {KAC_MAX_DIM}")
+    dim, cost = kac_cost(lam)
+    if cost > KAC_MAX_COST:
+        raise ResourceLimitError(
+            f"gl({m}|{n}) module of dimension {dim}: predicted cost {cost} exceeds {KAC_MAX_COST}"
+        )
+    dim_l0 = dim >> nodd
     left_rep = gl_simple(m, lam.coeffs[:m])
     right_rep = gl_simple(n, lam.coeffs[m:])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, InternalCheckError, ParameterError
 from .polytope import enumerate_lattice_points
 from .weights import (
     BlockDescriptor,
@@ -109,7 +109,8 @@ def _nu_k1(params: SuperParams) -> Weight:
             continue
         if length(w) == 0:
             found.append(w)
-    assert len(found) == 1, f"expected a unique length-zero weight in B, found {found}"
+    if len(found) != 1:
+        raise InternalCheckError(f"expected a unique length-zero weight in B, found {found}")
     return found[0]
 
 
@@ -125,9 +126,12 @@ def nu(params: SuperParams, k: int) -> Weight:
 def block_B_descriptor(params: SuperParams, k: int) -> BlockDescriptor:
     """Descriptor of the distinguished block: atypicality k with the stepped cores."""
     desc = atypicality(nu(params, k))
-    assert desc.atypicality == k
-    assert desc.core_left == _core_left_closed_form(params, k)
-    assert desc.core_right == _core_right_closed_form(params, k)
+    if desc.atypicality != k:
+        raise InternalCheckError(f"nu has atypicality {desc.atypicality}, not {k}")
+    if desc.core_left != _core_left_closed_form(params, k):
+        raise InternalCheckError(f"left core {desc.core_left} is not the closed form")
+    if desc.core_right != _core_right_closed_form(params, k):
+        raise InternalCheckError(f"right core {desc.core_right} is not the closed form")
     return desc
 
 
@@ -180,14 +184,16 @@ def build_S(params: SuperParams, k: int, d: int) -> WeightPairSet:
             raise DomainError(f"need d > 6(m+n) = {6 * (params.m + params.n)}")
         for a in range(2 * d // 3 + 1, d + 1):
             w = mu_a(params, a, d)
-            assert atypicality(w).block_key() == key
+            if atypicality(w).block_key() != key:
+                raise InternalCheckError(f"mu^({a}) leaves B")
             pairs.append((w, w))
     else:
         for point in enumerate_lattice_points(k, d):
             mu = zeta(ZetaInput(params, k, point[:k]))
             sigma = zeta(ZetaInput(params, k, point[k:]))
             for w in (mu, sigma):
-                assert is_dominant(w) and atypicality(w).block_key() == key
+                if not is_dominant(w) or atypicality(w).block_key() != key:
+                    raise InternalCheckError(f"zeta image {w} is not a dominant weight of B")
             pairs.append((mu, sigma))
     return WeightPairSet(d, tuple(pairs), block)
 

@@ -177,6 +177,26 @@ def test_resolve_kl_table(capsys):
     assert table[(2, 0)]["poly"] == [] and table[(2, 0)]["constant_term_1"] is False
 
 
+def test_resolve_kl_window_guard_fires_before_resolving(capsys, monkeypatch):
+    def resolving(*_args):
+        raise AssertionError("resolved before the kl-window guard")
+
+    monkeypatch.setattr(glsuper.cli, "gl11_minimal_resolution", resolving)
+    code, out, err = run(
+        capsys, "resolve", "--target", "simple", "--depth", "25", "--kl-window", "13"
+    )
+    assert code == 2 and out == ""
+    assert "--kl-window 13 needs pair separation 26, beyond resolution depth 25" in err
+
+
+def test_resolve_largest_kl_window_accepted(capsys):
+    code, out, _ = run(capsys, "resolve", "--target", "kac", "--depth", "0", "--kl-window", "12")
+    assert code == 0
+    table = {(row["lam"], row["mu"]): row["poly"] for row in json.loads(out)["kl_table"]}
+    assert len(table) == 25 * 25
+    assert table[(-12, 12)] == [1] and table[(12, -12)] == []
+
+
 def test_resolve_depth_guard(capsys):
     code, _, err = run(capsys, "resolve", "--target", "kac", "--weight", "0", "--depth", "40")
     assert code == 64

@@ -1,10 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from dense_gl11 import gl11_minimal_resolution as dense_minimal_resolution
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glsuper
+from glsuper import ratlinalg
 from glsuper.dimensions import ext_degree_constraint
-from glsuper.errors import DomainError, ResourceLimitError
+from glsuper.errors import DomainError, InternalCheckError, ResourceLimitError
 from glsuper.oracle import (
+    gl11,
     gl11_ext,
     gl11_kac,
     gl11_minimal_resolution,
@@ -163,3 +173,155 @@ def test_trace_serialization():
         "total_dim": 8,
     }
     json.dumps(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(("kac", "simple")),
+    lam=st.integers(-8, 8),
+    depth=st.integers(0, 12),
+)
+def test_graded_resolution_matches_dense(kind, lam, depth):
+    # the weight-graded resolution against the dense global elimination
+    assert gl11_minimal_resolution(kind, lam, depth) == dense_minimal_resolution(kind, lam, depth)
+
+
+def test_kl_polynomials_match_dense_kac_resolutions():
+    # read each pair off its own dense resolution of Kac(a), at the depth
+    # kl_poly_gl11 reads, instead of off the translated trace of Kac(0)
+    for a in range(-6, 7):
+        dense = dense_minimal_resolution("kac", a, 14)
+        for b in range(-6, 7):
+            depth = max(2, b - a + 2)
+            coeffs = {}
+            for n in range(depth + 1):
+                if dense.multiplicity(n, b):
+                    coeffs[b - a - n] = coeffs.get(b - a - n, 0) + dense.multiplicity(n, b)
+            expected = [coeffs.get(e, 0) for e in range(max(coeffs) + 1)] if coeffs else []
+            assert kl_poly_gl11(a, b) == expected, (a, b)
+
+
+def test_kl_table_resolves_once(monkeypatch):
+    calls = []
+    real = gl11.gl11_minimal_resolution
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gl11, "gl11_minimal_resolution", counting)
+    gl11._kac_trace.cache_clear()
+    try:
+        for lam in range(-9, 10):
+            for mu in range(-9, 10):
+                kl_poly_gl11(lam, mu)
+    finally:
+        gl11._kac_trace.cache_clear()
+    assert calls == [("kac", 0, gl11.MAX_DEPTH)]
+
+
+def test_resolution_step_size_does_not_grow(monkeypatch):
+    # each step eliminates inside one weight space, so the largest matrix
+    # any step hands to rref is the same at depth 10 and at depth 25
+    largest = [0]
+    real = ratlinalg.rref
+
+    def recording(mat):
+        largest[0] = max(largest[0], len(mat) * (len(mat[0]) if mat else 0))
+        return real(mat)
+
+    monkeypatch.setattr(ratlinalg, "rref", recording)
+    monkeypatch.setattr(gl11, "rref", recording)
+    sizes = {}
+    for depth in (10, 25):
+        largest[0] = 0
+        gl11_minimal_resolution("simple", 0, depth)
+        sizes[depth] = largest[0]
+    assert 0 < sizes[10] == sizes[25] <= 16
+
+
+def test_ungraded_cover_rejected(monkeypatch):
+    # with y and x swapped in P(w), the y-image of the head of K(0), at
+    # weight -1, would be the image of a weight-1 basis vector
+    monkeypatch.setattr(gl11, "_P_WEIGHT_OFFSETS", (0, 1, -1, 0))
+    with pytest.raises(InternalCheckError, match="the cover does not map weight 1 to 1"):
+        gl11_minimal_resolution("kac", 0, 3)
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+# a cover that drops the head vector itself misses it, so it cannot surject
+BROKEN_COVER = (
+    "from glsuper.oracle import gl11\n"
+    "real = gl11._cover\n"
+    "def broken(x, y, reps):\n"
+    "    cols = real(x, y, reps)\n"
+    "    cols[0] = {}\n"
+    "    return cols\n"
+    "gl11._cover = broken\n"
+)
+
+
+def test_non_surjective_cover_rejected(monkeypatch):
+    real = gl11._cover
+
+    def broken(x, y, reps):
+        cols = real(x, y, reps)
+        cols[0] = {}
+        return cols
+
+    monkeypatch.setattr(gl11, "_cover", broken)
+    with pytest.raises(InternalCheckError, match="fails to surject"):
+        gl11_minimal_resolution("simple", 0, 3)
+
+
+def test_non_surjective_cover_rejected_under_optimize():
+    script = BROKEN_COVER + (
+        "from glsuper.errors import InternalCheckError\n"
+        "try:\n"
+        "    gl11.gl11_minimal_resolution('simple', 0, 3)\n"
+        "except InternalCheckError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: projective cover fails to surject"), proc.stdout
+
+
+# a Kac(0) trace with P(0) twice in degree 0 gives the constant term 2
+BROKEN_KL = (
+    "from glsuper.oracle import gl11\n"
+    "real = gl11._kac_trace()\n"
+    "doubled = gl11.ResolutionTrace(real.target, real.depth, ({0: 2},) + real.degrees[1:])\n"
+    "gl11._kac_trace = lambda: doubled\n"
+)
+
+
+def test_kl_constraint_violation_rejected_under_optimize():
+    script = BROKEN_KL + (
+        "from glsuper.errors import InternalCheckError\n"
+        "try:\n"
+        "    gl11.kl_poly_gl11(0, 0)\n"
+        "except InternalCheckError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: constant term must be one\n", proc.stdout
+
+
+def test_kl_constraint_violation_exits_70_under_optimize():
+    script = BROKEN_KL + (
+        "import sys\n"
+        "from glsuper.cli import main\n"
+        "sys.exit(main(['resolve', '--target', 'kac', '--depth', '2', '--kl-window', '1']))\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stdout == ""
+    assert "internal check failure: constant term must be one" in proc.stderr

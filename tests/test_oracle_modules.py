@@ -10,11 +10,12 @@ from glsuper.dimensions import weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from glsuper.oracle import modules
 from glsuper.oracle.modules import (
-    KAC_MAX_DIM,
+    KAC_MAX_COST,
     MatrixModule,
     direct_sum,
     dual_kac_module,
     f_odd_element,
+    kac_cost,
     kac_module,
     matrix_to_csv,
     odd_projectivity_test,
@@ -100,15 +101,42 @@ def test_kac_scale_guard():
 
 
 def test_kac_scale_guard_fires_before_any_work(monkeypatch):
-    # 2^12 * dim L0(1,0,0,0) = 16384, the smallest gl(4|3) module above the cap
     def no_work(*args):
         raise AssertionError("the even simple module was built before the guard")
 
     monkeypatch.setattr(modules, "gl_simple", no_work)
-    w = Weight(SuperParams(4, 3), (1, 0, 0, 0, 0, 0, 0))
-    for build in (kac_module, dual_kac_module):
-        with pytest.raises(ResourceLimitError, match=f"16384 exceeds {KAC_MAX_DIM}"):
-            build(w)
+    # gl(4|3) K(1,0,0,0|0,0,0): dimension 2^12 * 4, cost 7^3 * 16384 * 3;
+    # gl(12|1) K(0): cost 13^3 * 4096 (47 s measured); gl(3|1) K(25,12,0|0):
+    # dimension 8 * 2457, cost 4^3 * 19656 * 12 (60 s measured)
+    refused = (
+        (Weight(SuperParams(4, 3), (1, 0, 0, 0, 0, 0, 0)), 16384, 16859136),
+        (Weight.zero(SuperParams(12, 1)), 4096, 8998912),
+        (Weight(SuperParams(3, 1), (25, 12, 0, 0)), 19656, 15095808),
+    )
+    for w, dim, cost in refused:
+        for build in (kac_module, dual_kac_module):
+            with pytest.raises(
+                ResourceLimitError,
+                match=f"dimension {dim}: predicted cost {cost} exceeds {KAC_MAX_COST}",
+            ):
+                build(w)
+
+
+def test_kac_cost_guard_admits_measured_modules():
+    # gl(4|3) K(0) (14.2 s measured), gl(6|2) K(0) (20.6 s), the suite's
+    # largest module gl(3|3) K(0), and the dimension-192 gl(3|2) modules of
+    # the benchmark's modules workload
+    admitted = (
+        (Weight.zero(SuperParams(4, 3)), 4096, 1404928),
+        (Weight.zero(SuperParams(6, 2)), 4096, 2097152),
+        (Weight.zero(SuperParams(3, 3)), 512, 110592),
+        (Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)), 192, 48000),
+        (Weight(SuperParams(3, 2), (0, 0, -1, 0, 0)), 192, 48000),
+        (Weight(SuperParams(3, 2), (0, 0, 0, 2, 0)), 192, 48000),
+    )
+    for w, dim, cost in admitted:
+        assert kac_cost(w) == (dim, cost)
+        assert cost <= KAC_MAX_COST
 
 
 # E11 = 1, E22 = 0 and zero odd units break [E12, E21] = E11 + E22
