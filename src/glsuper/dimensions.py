@@ -1,9 +1,11 @@
 """Dimension formulas, partition counts, and Ext-degree bookkeeping.
 
-The Weyl dimension formula is evaluated as a single exact rational product
-and asserted to be a positive integer.  The Cauchy decomposition of the
-symmetric powers of the dual odd part for gl(k|k) serves as the independent
-oracle against the closed-form Hom-space criterion ``kac_ext_trivial``.
+The Weyl dimension formula is evaluated in exact integers, as one numerator
+and one denominator product, and a gate checks that their quotient is a
+positive integer; ``oracle.gt`` shares this one formula.  The Cauchy
+decomposition of the symmetric powers of the dual odd part for gl(k|k)
+serves as the independent oracle against the closed-form Hom-space
+criterion ``kac_ext_trivial``.
 """
 
 from __future__ import annotations
@@ -17,16 +19,11 @@ from .errors import DomainError, InternalCheckError, ParameterError, ResourceLim
 from .weights import (
     SuperParams,
     Weight,
-    bilinear_form,
     bruhat_leq_principal,
     is_principal_block_gl_kk,
     length,
     naive_length,
-    positive_roots_m,
-    positive_roots_n,
     require_dominant,
-    rho_m,
-    rho_n,
 )
 
 CAUCHY_MAX_K = 4
@@ -59,22 +56,27 @@ class ExtDegreeWindow:
         return d >= 0 and self.base <= d <= self.base + self.width
 
 
+def weyl_dim_gl(hw: tuple[int, ...]) -> int:
+    """Weyl dimension formula for gl(r): prod (l_i - l_j)/(j - i) with l = hw + staircase."""
+    r = len(hw)
+    num = den = 1
+    for i in range(r):
+        for j in range(i + 1, r):
+            num *= hw[i] - hw[j] + j - i
+            den *= j - i
+    value, rem = divmod(num, den)
+    if rem or value <= 0:
+        raise InternalCheckError(
+            f"Weyl dimension of {hw} is {Fraction(num, den)}, not a positive integer"
+        )
+    return value
+
+
 def weyl_dim_g0(mu: Weight) -> int:
     """Dimension of the simple gl(m) x gl(n) module with highest weight mu."""
     require_dominant(mu)
-    params = mu.params
-    shifted_m = mu + rho_m(params)
-    shifted_n = mu + rho_n(params)
-    value = Fraction(1)
-    for root in positive_roots_m(params):
-        alpha = root.to_weight(params)
-        value *= Fraction(bilinear_form(shifted_m, alpha), bilinear_form(rho_m(params), alpha))
-    for root in positive_roots_n(params):
-        alpha = root.to_weight(params)
-        value *= Fraction(bilinear_form(shifted_n, alpha), bilinear_form(rho_n(params), alpha))
-    if value.denominator != 1 or value <= 0:
-        raise InternalCheckError(f"Weyl quotient {value} is not a positive integer")
-    return int(value)
+    m = mu.params.m
+    return weyl_dim_gl(mu.coeffs[:m]) * weyl_dim_gl(mu.coeffs[m:])
 
 
 def projective_dim_bounds(mu: Weight) -> DimBound:

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..dimensions import weyl_dim_gl
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 
@@ -102,18 +103,6 @@ def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:
             stack + (nxt,) for stack in stacks for nxt in _interlacing_rows(stack[-1])
         ]
     return [GTPattern(stack) for stack in stacks]
-
-
-def weyl_dim_gl(hw: tuple[int, ...]) -> int:
-    """Weyl dimension formula for gl(r): prod (l_i - l_j)/(j - i) with l = hw + staircase."""
-    r = len(hw)
-    value = Fraction(1)
-    for i in range(r):
-        for j in range(i + 1, r):
-            value *= Fraction(hw[i] - hw[j] + j - i, j - i)
-    if value.denominator != 1 or value <= 0:
-        raise InternalCheckError(f"Weyl dimension of {hw} is {value}, not a positive integer")
-    return int(value)
 
 
 @dataclass(frozen=True)

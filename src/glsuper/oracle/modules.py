@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..dimensions import weyl_dim_gl
 from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_rank
 from ..weights import SuperParams, Weight, require_dominant
@@ -26,7 +27,6 @@ from .gt import (
     gl_simple,
     super_bracket_units,
     unit_parity,
-    weyl_dim_gl,
 )
 
 # Building a Kac module and checking its brackets takes about

@@ -7,6 +7,7 @@ import pytest
 import glsuper.cli
 from glsuper.cli import main
 from glsuper.errors import InternalCheckError
+from glsuper.oracle.gt import gt_patterns
 from glsuper.polytope import enumerate_lattice_points
 from glsuper.weights import SuperParams, Weight, weight_from_json
 
@@ -49,6 +50,44 @@ def test_classify_sampling_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_classify_rows_match_gt_pattern_counts(capsys):
+    m, n = 4, 3
+    args = ("classify", "--m", str(m), "--n", str(n), "--sample", "40", "--seed", "5")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 40
+    for row in rows:
+        coeffs = tuple(row["weight"]["coeffs"])
+        dim = len(gt_patterns(coeffs[:m])) * len(gt_patterns(coeffs[m:]))
+        assert row["weyl_dim_g0"] == dim
+        assert row["projective_dim_bounds"] == [dim, 2 ** (2 * m * n) * dim]
+    for fmt in ("json", "csv"):
+        _, first, _ = run(capsys, *args, "--format", fmt)
+        _, second, _ = run(capsys, *args, "--format", fmt)
+        assert first == second
+    assert first.splitlines()[0].split(",") == sorted(rows[0])
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*_args):
+    raise _Refused
+
+
+def test_classify_sample_guard_fires_before_sampling(capsys, monkeypatch):
+    monkeypatch.setattr(glsuper.cli, "_classify_one", _refuse)
+    monkeypatch.setattr(glsuper.cli.random, "Random", _refuse)
+    code, out, err = run(capsys, "classify", "--m", "4", "--n", "3", "--sample", str(10**12))
+    assert code == 2 and out == ""
+    assert f"--sample {10**12} exceeds SAMPLE_MAX = {glsuper.cli.SAMPLE_MAX}" in err
+    # the bound itself is admitted: sampling starts, and hits the patched generator
+    with pytest.raises(_Refused):
+        main(["classify", "--m", "4", "--n", "3", "--sample", str(glsuper.cli.SAMPLE_MAX)])
 
 
 def test_classify_weights_file(capsys, tmp_path):

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glsuper
 from glsuper.dimensions import (
     DimBound,
     cauchy_multiplicity,
@@ -59,6 +64,28 @@ def test_weyl_dim_positive_integer_on_grid():
 def test_weyl_requires_dominant():
     with pytest.raises(DomainError):
         weyl_dim_g0(Weight(P21, (0, 1, 0)))
+
+
+def test_weyl_gate_kept_under_optimize():
+    # the gate raises instead of asserting, so python -O keeps it
+    script = (
+        "from glsuper.dimensions import weyl_dim_gl\n"
+        "from glsuper.errors import InternalCheckError\n"
+        "for hw in ((0, 1), (0, 2)):\n"
+        "    try:\n"
+        "        weyl_dim_gl(hw)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "rejected: Weyl dimension of (0, 1) is 0, not a positive integer\n"
+        "rejected: Weyl dimension of (0, 2) is -1, not a positive integer\n"
+    ), proc.stdout
 
 
 def test_projective_dim_bounds():

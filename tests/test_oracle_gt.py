@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glsuper.dimensions
+import glsuper.oracle
 from glsuper.errors import DomainError, ResourceLimitError
 from glsuper.oracle.gt import GTPattern, gl_simple, gt_patterns, weyl_dim_gl
 from glsuper.dimensions import weyl_dim_g0
@@ -33,11 +37,23 @@ def test_dimension_matches_weyl(hw):
 
 
 def test_dimension_matches_g0_weyl():
-    # cross-module agreement of the two Weyl implementations
+    # gl_simple(...).dim is gated to equal the formula, so count patterns instead
     p32 = SuperParams(3, 2)
     for left, right in [((2, 1, 0), (1, 0)), ((1, 1, 0), (0, -1)), ((3, 0, 0), (2, 2))]:
         combined = weyl_dim_g0(Weight(p32, left + right))
-        assert combined == gl_simple(3, left).dim * gl_simple(2, right).dim
+        assert combined == len(gt_patterns(left)) * len(gt_patterns(right))
+
+
+def test_one_weyl_formula_behind_every_public_name():
+    assert glsuper.oracle.weyl_dim_gl is glsuper.dimensions.weyl_dim_gl
+    assert weyl_dim_gl is glsuper.dimensions.weyl_dim_gl
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+def test_weyl_dim_counts_gt_patterns(entries):
+    hw = tuple(sorted(entries, reverse=True))
+    assert weyl_dim_gl(hw) == len(gt_patterns(hw))
 
 
 def test_cartan_action_is_diagonal_with_weights():

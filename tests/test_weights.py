@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsuper.errors import DomainError, ParameterError
 from glsuper.weights import (
@@ -137,6 +139,43 @@ def test_atypicality_matches_exhaustive_search():
         for _ in range(40):
             w = sample_dominant(params, rng)
             assert atypicality(w).atypicality == atypicality_exhaustive(w)
+
+
+@st.composite
+def dominant_weights(draw, params, spread):
+    def side(size):
+        entries = draw(st.lists(st.integers(-spread, spread), min_size=size, max_size=size))
+        return sorted(entries, reverse=True)
+
+    return Weight(params, tuple(side(params.m) + side(params.n)))
+
+
+SMALL_PARAMS = st.integers(1, 4).flatmap(
+    lambda n: st.integers(n, 5).map(lambda m: SuperParams(m, n))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), params=SMALL_PARAMS)
+def test_atypicality_matches_exhaustive_property(data, params):
+    w = data.draw(dominant_weights(params, 4))
+    assert atypicality(w).atypicality == atypicality_exhaustive(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), params=SMALL_PARAMS)
+def test_same_block_symmetric_and_matches_descriptors(data, params):
+    a = data.draw(dominant_weights(params, 3))
+    b = data.draw(dominant_weights(params, 3))
+    omega = atypicality(a).omega
+    if omega and data.draw(st.booleans()):
+        # moving along an atypical root keeps the core, so b often shares a's block
+        root = data.draw(st.sampled_from(omega))
+        moved = a + root.to_weight(params).scale(data.draw(st.integers(-3, 3)))
+        if is_dominant(moved):
+            b = moved
+    assert same_block(a, b) == same_block(b, a)
+    assert same_block(a, b) == (atypicality(a).block_key() == atypicality(b).block_key())
 
 
 def test_omega_orthogonality_and_bounds():
