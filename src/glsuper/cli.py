@@ -17,12 +17,14 @@ from .dimensions import projective_dim_bounds
 from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
 from .oracle import (
+    dual_kac_module,
     gl11_minimal_resolution,
     kac_module,
     kl_poly_gl11,
     measured_growth,
     rank_variety,
 )
+from .oracle.modules import KAC_MAX_COST, kac_cost
 from .polytope import (
     ENUM_MAX_D,
     check_count_cost,
@@ -137,8 +139,6 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
     params = w.params
     if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
         try:
-            from .oracle.modules import dual_kac_module
-
             module = kac_module(w) if kind is ModuleKind.KAC else dual_kac_module(w)
         except ResourceLimitError as exc:
             return [{"name": "rank_variety", "skipped": str(exc)}]
@@ -181,11 +181,29 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
     return checks
 
 
+def _check_verify_cost(kind: ModuleKind, weights: list[Weight]) -> None:
+    """Refuse --verify before any module is built if the (dual) Kac modules
+    it would build cost more in total than one module may; the modules the
+    per-module guard skips are not built and do not count."""
+    if kind not in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
+        return
+    costs = [kac_cost(w)[1] for w in weights if is_dominant(w)]
+    built = [cost for cost in costs if cost <= KAC_MAX_COST]
+    if sum(built) > KAC_MAX_COST:
+        raise ResourceLimitError(
+            f"--verify would build {len(built)} modules at a predicted total cost of "
+            f"{sum(built)}, over the bound KAC_MAX_COST = {KAC_MAX_COST}"
+        )
+
+
 def cmd_invariants(args) -> int:
     params = SuperParams(args.m, args.n)
     kind = ModuleKind(args.kind)
+    weights = _gather_weights(params, args)
+    if args.verify:
+        _check_verify_cost(kind, weights)
     out = []
-    for w in _gather_weights(params, args):
+    for w in weights:
         if not is_dominant(w):
             raise DomainError(f"weight {w} is not dominant")
         report = variety_dims(kind, w)

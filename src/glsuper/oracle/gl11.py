@@ -18,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
-from ..ratlinalg import SparseCols, exact, rref, sparse_mul, sparse_rank
+from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_pivots, sparse_rank
 from ..weights import SuperParams
 from .modules import MatrixModule
 
@@ -115,15 +116,14 @@ def _head(blocks: dict[int, list[int]], x: SparseCols, y: SparseCols) -> list[tu
     """Basis indices spanning N / (xN + yN), one pair (weight, index) each.
 
     In weight w the image is spanned by x of weight w - 1 and y of weight
-    w + 1; the basis vectors off the pivot columns of its echelon form
+    w + 1; the basis vectors off the leading rows of its pivot columns
     complete it to the whole weight space.
     """
     reps: list[tuple[int, int]] = []
     for w in sorted(blocks):
-        rows = blocks[w]
         image = [x[j] for j in blocks.get(w - 1, ())] + [y[j] for j in blocks.get(w + 1, ())]
-        pivots = set(rref([[col.get(i, 0) for i in rows] for col in image])[1])
-        reps.extend((w, i) for pos, i in enumerate(rows) if pos not in pivots)
+        pivots = sparse_pivots(image)
+        reps.extend((w, i) for i in blocks[w] if i not in pivots)
     return reps
 
 
@@ -134,6 +134,33 @@ def _cover(x: SparseCols, y: SparseCols, reps: list[tuple[int, int]]) -> SparseC
     for (_w, i), yxv in zip(reps, yx):
         cols.extend(({i: 1}, y[i], x[i], yxv))
     return cols
+
+
+def _relations(cols: SparseCols, indices: list[int]) -> tuple[int, dict[int, dict]]:
+    """Rank of the columns cols[j], j in indices, and the relation of each dependent j.
+
+    Each column is reduced against the earlier pivot columns, keyed by their
+    lowest row, while carrying the combination of columns used.  A column
+    that reduces to zero gives the relation 1 at itself minus its
+    coordinates on the earlier pivot columns: the kernel vector of the
+    reduced row echelon form for that free column.
+    """
+    pivots: dict[int, SparseCols] = {}
+    relations: dict[int, dict] = {}
+    for j in indices:
+        # the reduced column, and the combination of columns it equals
+        pair = [cols[j], {j: 1}]
+        while pair[0]:
+            low = min(pair[0])
+            if low not in pivots:
+                pivots[low] = pair
+                break
+            pivot = pivots[low]
+            factor = Fraction(pair[0][low]) / pivot[0][low]
+            pair = sparse_add_scaled([(pair, 1), (pivot, -factor)], 2)
+        else:
+            relations[j] = {i: exact(v) for i, v in pair[1].items()}
+    return len(pivots), relations
 
 
 def _kernel(
@@ -150,19 +177,12 @@ def _kernel(
     kernel_weights: list[int] = []
     coordinate: dict[int, int] = {}
     for w in sorted(p_blocks.keys() | blocks.keys()):
-        rows, cols = blocks.get(w, []), p_blocks.get(w, [])
-        reduced, pivots = rref([[phi[j].get(i, 0) for j in cols] for i in rows])
-        if len(pivots) != len(rows):
+        cols = p_blocks.get(w, [])
+        rank, relations = _relations(phi, cols)
+        if rank != len(blocks.get(w, ())):
             raise InternalCheckError(f"projective cover fails to surject onto weight {w}")
-        pivot_set = set(pivots)
-        for free in range(len(cols)):
-            if free in pivot_set:
-                continue
-            vec = {cols[free]: 1}
-            for r, p in enumerate(pivots):
-                if reduced[r][free]:
-                    vec[cols[p]] = exact(-reduced[r][free])
-            coordinate[cols[free]] = len(embed)
+        for free, vec in relations.items():
+            coordinate[free] = len(embed)
             embed.append(vec)
             kernel_weights.append(w)
     return embed, kernel_weights, coordinate

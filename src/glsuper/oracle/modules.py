@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dimensions import weyl_dim_gl
+from ..dimensions import weyl_dim_g0
 from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_rank
 from ..weights import SuperParams, Weight, require_dominant
@@ -135,7 +135,7 @@ def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> Spars
 def kac_cost(lam: Weight) -> tuple[int, int]:
     """Dimension of K(lam) and its predicted build and bracket-check cost."""
     m, n = lam.params.m, lam.params.n
-    dim_l0 = weyl_dim_gl(lam.coeffs[:m]) * weyl_dim_gl(lam.coeffs[m:])
+    dim_l0 = weyl_dim_g0(lam)
     dim = (1 << (m * n)) * dim_l0
     return dim, (m + n) ** 3 * dim * dim_l0.bit_length()
 

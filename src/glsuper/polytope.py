@@ -33,7 +33,7 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .ratlinalg import rref, solve
+from .ratlinalg import rref
 
 ENUM_MAX_K = 3
 ENUM_MAX_D = 200
@@ -308,11 +308,7 @@ class QuasiPolynomial:
         return self.polys[0][-1]
 
     def value(self, d: int) -> Fraction:
-        coeffs = self.polys[d % self.period]
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * d + c
-        return acc
+        return eval_poly(self.polys[d % self.period], d)
 
     def to_json(self) -> dict:
         return {
@@ -323,18 +319,23 @@ class QuasiPolynomial:
 
 @cache
 def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact vertex set of the d=1 polytope, by facet-subset enumeration."""
+    """Exact vertex set of the d=1 polytope, by facet-subset enumeration.
+
+    The equalities and each subset of inequalities made tight, dim rows in
+    all, form one augmented system [coeffs | rhs].  It has a unique solution
+    exactly when its echelon form has a pivot in every coefficient column,
+    and the solution is then its last column.
+    """
     poly = _system(k)
-    eq_rows = [list(c) for c, _ in poly.equalities]
-    eq_rhs = [[r] for _, r in poly.equalities]
-    found = set()
     dim = poly.dim_ambient
-    for subset in itertools.combinations(range(len(poly.inequalities)), dim - len(eq_rows)):
-        rows = eq_rows + [list(poly.inequalities[i][0]) for i in subset]
-        rhs = eq_rhs + [[poly.inequalities[i][1]] for i in subset]
-        if len(rref(rows)[1]) < dim:
+    eq_rows = [list(c) + [r] for c, r in poly.equalities]
+    ineq_rows = [list(c) + [r] for c, r in poly.inequalities]
+    found = set()
+    for subset in itertools.combinations(range(len(ineq_rows)), dim - len(eq_rows)):
+        reduced, pivots = rref(eq_rows + [ineq_rows[i] for i in subset])
+        if len(pivots) < dim or dim in pivots:
             continue
-        point = tuple(row[0] for row in solve(rows, rhs))
+        point = tuple(row[dim] for row in reduced)
         if poly.satisfies(point):
             found.add(point)
     return tuple(sorted(found))
@@ -350,11 +351,20 @@ def polytope_denominator(k: int) -> int:
     return den
 
 
-def _interpolate(points: list[tuple[int, int]], degree: int) -> tuple[Fraction, ...]:
-    vander = [[Fraction(d) ** j for j in range(degree + 1)] for d, _ in points]
-    rhs = [[Fraction(c)] for _, c in points]
-    coeffs = solve(vander, rhs)
-    return tuple(row[0] for row in coeffs)
+def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the polynomial of degree len(points) - 1
+    through the points (distinct d), by Newton divided differences."""
+    xs = [d for d, _ in points]
+    diffs = [Fraction(c) for _, c in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
+    # expand diffs[0] + (d - x_0)(diffs[1] + (d - x_1)(diffs[2] + ...)) from the inside out
+    coeffs = [diffs[-1]]
+    for x, c in zip(reversed(xs[:-1]), reversed(diffs[:-1])):
+        coeffs = [u - x * v for u, v in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        coeffs[0] += c
+    return tuple(coeffs)
 
 
 def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
@@ -381,10 +391,9 @@ def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
         consistent = True
         for r in range(period):
             pts = classes[r]
-            coeffs = _interpolate(pts[:needed], degree)
+            coeffs = _interpolate(pts[:needed])
             for d, c in pts[needed:]:
-                value = sum(coeffs[j] * Fraction(d) ** j for j in range(needed))
-                if value != c:
+                if eval_poly(coeffs, d) != c:
                     consistent = False
                     break
             if not consistent:

@@ -1,9 +1,11 @@
-"""Small exact linear algebra kernel over Fraction.
+"""Small exact linear algebra kernel.
 
-Dense matrices are lists of row lists whose entries are ints or Fractions;
-all results are exact.  Multiplication skips zero entries.  Module actions
-use the sparse column layout below instead, because representation matrices
-are very sparse and mostly integral.
+Module actions use the sparse column layout below, with integer entries
+wherever they are integral: sparse products, and ranks and pivot columns by
+fraction-free elimination.  The only dense routine is `rref`, over
+Fraction, for the small vertex solves of the lattice polytope.  `zeros`
+and `mat_mul` have no caller in the package; they stay because
+`perfbench/tracer.py` patches `mat_mul` by name.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -36,21 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 if bkj:
                     oi[j] += aik * bkj
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = [Fraction(0)] * len(a)
-    for i, row in enumerate(a):
-        acc = Fraction(0)
-        for x, y in zip(row, v):
-            if x and y:
-                acc += x * y
-        out[i] = acc
-    return out
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -78,61 +64,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return mat, pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column."""
-    if not a:
-        return []
-    cols = len(a[0])
-    reduced, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][free]
-        basis.append(vec)
-    return basis
-
-
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ X = b exactly; raises ValueError if inconsistent.
-
-    When the system is underdetermined the free variables are set to zero.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    bcols = len(b[0]) if b else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    reduced, pivots = rref(aug)
-    for r in range(len(pivots), rows):
-        if any(reduced[r][cols:]):
-            if all(not x for x in reduced[r][:cols]):
-                raise ValueError("inconsistent linear system")
-    for p in pivots:
-        if p >= cols:
-            raise ValueError("inconsistent linear system")
-    x = zeros(cols, bcols)
-    for r, p in enumerate(pivots):
-        for j in range(bcols):
-            x[p][j] = reduced[r][cols + j]
-    return x
-
-
-def columns_of(a: Matrix) -> list[Vector]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 # column-major sparse helpers: cols[j] maps row index to a nonzero entry,
 # an int when the entry is integral and a Fraction otherwise
 
@@ -142,14 +73,6 @@ SparseCols = list[dict[int, int | Fraction]]
 def exact(value: int | Fraction) -> int | Fraction:
     """The entry as an int when it is integral, else as a Fraction."""
     return value.numerator if value.denominator == 1 else value
-
-
-def to_dense(cols: SparseCols, rows: int) -> Matrix:
-    mat = zeros(rows, len(cols))
-    for j, col in enumerate(cols):
-        for i, val in col.items():
-            mat[i][j] = Fraction(val)
-    return mat
 
 
 def sparse_mul(a_cols: SparseCols, b_cols: SparseCols) -> SparseCols:
@@ -180,14 +103,16 @@ def sparse_add_scaled(terms: list[tuple[SparseCols, int]], ncols: int) -> Sparse
     return out
 
 
-def sparse_rank(cols: SparseCols) -> int:
-    """Rank by fraction-free elimination on sparse columns.
+def sparse_pivots(cols: SparseCols) -> dict[int, dict[int, int]]:
+    """Pivot columns of a fraction-free elimination, keyed by lowest row index.
 
     Each column is scaled to integers and reduced against the pivot columns
     found so far.  A pivot column is keyed by its lowest row index, and a
     reduction step cancels that row, so the lowest row of the column being
     reduced strictly rises until it is zero or opens a new pivot.  Removing
-    the content after each step keeps the integers small.
+    the content after each step keeps the integers small.  The keys are the
+    leading row indices of the column span, the pivot columns of the
+    reduced row echelon form of the columns taken as rows.
     """
     pivots: dict[int, dict[int, int]] = {}
     for col in cols:
@@ -211,4 +136,8 @@ def sparse_rank(cols: SparseCols) -> int:
                     del out[i]
             content = math.gcd(*out.values())
             vec = {i: val // content for i, val in out.items()} if content > 1 else out
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(cols: SparseCols) -> int:
+    return len(sparse_pivots(cols))

@@ -6,6 +6,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from dense_linalg import (
+    columns_of,
+    is_zero,
+    mat_vec,
+    nullspace,
+    rank as mat_rank,
+    solve,
+    to_dense,
+)
 from glsuper.errors import DomainError, ResourceLimitError
 from glsuper.oracle.gl11 import (
     MAX_DEPTH,
@@ -17,17 +26,7 @@ from glsuper.oracle.gl11 import (
     gl11_kac,
     gl11_simple,
 )
-from glsuper.ratlinalg import (
-    Matrix,
-    columns_of,
-    is_zero,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank as mat_rank,
-    solve,
-    to_dense,
-)
+from glsuper.ratlinalg import Matrix, mat_mul
 
 
 def _head_representatives(weights: list[int], x: Matrix, y: Matrix) -> list[tuple[int, int]]:

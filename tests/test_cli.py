@@ -124,6 +124,36 @@ def test_invariants_verify_agreement(capsys):
     assert checks["rank_variety_side_-1"]["measured"] == 0
 
 
+def test_invariants_verify_total_cost_guard(capsys, monkeypatch, tmp_path):
+    # two gl(4|3) K(0), each admitted alone (1,404,928 predicted steps), are
+    # refused together before either module is built
+    monkeypatch.setattr(glsuper.cli, "kac_module", _refuse)
+    monkeypatch.setattr(glsuper.cli, "dual_kac_module", _refuse)
+    manifest = tmp_path / "twice.txt"
+    manifest.write_text("0,0,0,0,0,0,0\n" * 2)
+    for kind in ("kac", "dualkac"):
+        code, out, err = run(
+            capsys, "invariants", "--m", "4", "--n", "3", "--kind", kind, "--verify",
+            "--weights-file", str(manifest),
+        )
+        assert code == 2 and out == ""
+        assert "would build 2 modules at a predicted total cost of 2809856" in err
+        assert f"KAC_MAX_COST = {glsuper.cli.KAC_MAX_COST}" in err
+
+
+def test_invariants_verify_total_cost_skips_refused_modules(capsys):
+    # gl(2|2) K(20,0|20,0) is over the per-module bound, so it is skipped and
+    # does not count against the total; the small K(0) beside it is built
+    code, out, _ = run(
+        capsys, "invariants", "--m", "2", "--n", "2", "--kind", "kac", "--verify",
+        "--weight", "20,0,20,0", "--weight", "0,0,0,0",
+    )
+    assert code == 0
+    first, second = json.loads(out)
+    assert "predicted cost 4064256 exceeds" in first["checks"][0]["skipped"]
+    assert all("agree" in check for check in second["checks"])
+
+
 def test_internal_check_failure_exits_70(capsys, monkeypatch):
     def broken(_w):
         raise InternalCheckError("bracket relation fails for (1, 2), (2, 1)")

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsuper
-from glsuper import ratlinalg
 from glsuper.dimensions import ext_degree_constraint
 from glsuper.errors import DomainError, InternalCheckError, ResourceLimitError
 from glsuper.oracle import (
@@ -221,17 +220,27 @@ def test_kl_table_resolves_once(monkeypatch):
 
 
 def test_resolution_step_size_does_not_grow(monkeypatch):
-    # each step eliminates inside one weight space, so the largest matrix
-    # any step hands to rref is the same at depth 10 and at depth 25
+    # each step eliminates inside one weight space, so the largest set of
+    # columns (columns times rows they touch) that _head or _kernel
+    # eliminates is the same at depth 10 and at depth 25
     largest = [0]
-    real = ratlinalg.rref
 
-    def recording(mat):
-        largest[0] = max(largest[0], len(mat) * (len(mat[0]) if mat else 0))
-        return real(mat)
+    def record(cols):
+        rows = set().union(*cols)
+        largest[0] = max(largest[0], len(cols) * len(rows))
 
-    monkeypatch.setattr(ratlinalg, "rref", recording)
-    monkeypatch.setattr(gl11, "rref", recording)
+    real_pivots, real_relations = gl11.sparse_pivots, gl11._relations
+
+    def pivots(cols):
+        record(cols)
+        return real_pivots(cols)
+
+    def relations(cols, indices):
+        record([cols[j] for j in indices])
+        return real_relations(cols, indices)
+
+    monkeypatch.setattr(gl11, "sparse_pivots", pivots)
+    monkeypatch.setattr(gl11, "_relations", relations)
     sizes = {}
     for depth in (10, 25):
         largest[0] = 0

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import glsuper
@@ -16,3 +17,30 @@ def test_no_assert_statements_in_source():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in source: {found}"
+
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_traced_names_resolve_after_cli_import():
+    # perfbench/tracer.py patches each (module, attr) of TRACED by name right
+    # after importing glsuper.cli, so a name that is renamed, deleted or not
+    # yet imported would make every traced op fail
+    import glsuper.cli  # noqa: F401
+
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    assert traced
+    missing = []
+    for module_name, attr in traced:
+        owner = sys.modules.get(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}:{attr}")
+    assert not missing, f"traced names that do not resolve: {missing}"

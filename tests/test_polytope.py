@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from dense_linalg import rank, solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +192,45 @@ def test_vertices_k3():
     poly = build_polytope(3)
     for v in verts:
         assert poly.satisfies(v)
+
+
+def _vertices_by_rank_and_solve(k):
+    # the slow oracle: a dense rank test, then a dense solve, per constraint subset
+    poly = build_polytope(k)
+    dim = poly.dim_ambient
+    eq_rows = [list(c) for c, _ in poly.equalities]
+    eq_rhs = [[r] for _, r in poly.equalities]
+    found = set()
+    for subset in itertools.combinations(range(len(poly.inequalities)), dim - len(eq_rows)):
+        rows = eq_rows + [list(poly.inequalities[i][0]) for i in subset]
+        rhs = eq_rhs + [[poly.inequalities[i][1]] for i in subset]
+        if rank(rows) < dim:
+            continue
+        point = tuple(row[0] for row in solve(rows, rhs))
+        if poly.satisfies(point):
+            found.add(point)
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_vertices_match_dense_rank_and_solve(k):
+    assert vertices(k) == _vertices_by_rank_and_solve(k)
+
+
+_interpolation_cases = st.lists(st.integers(-60, 200), min_size=1, max_size=7, unique=True).flatmap(
+    lambda ds: st.tuples(
+        st.just(ds), st.lists(st.integers(-10**6, 10**6), min_size=len(ds), max_size=len(ds))
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interpolation_cases)
+def test_interpolate_matches_vandermonde_solve(case):
+    ds, values = case
+    vander = [[Fraction(d) ** j for j in range(len(ds))] for d in ds]
+    expected = tuple(row[0] for row in solve(vander, [[Fraction(c)] for c in values]))
+    assert polytope._interpolate(list(zip(ds, values))) == expected
 
 
 def test_fit_quasipolynomial(counts_k2):

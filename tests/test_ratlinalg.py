@@ -5,18 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsuper.ratlinalg import (
-    exact,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    rref,
-    solve,
-    sparse_mul,
-    sparse_rank,
-    to_dense,
-)
+from dense_linalg import mat_vec, nullspace, rank, solve, to_dense
+from glsuper.ratlinalg import exact, mat_mul, rref, sparse_mul, sparse_pivots, sparse_rank
 
 
 def random_matrix(rng, rows, cols, density=0.7):
@@ -114,6 +104,10 @@ def test_sparse_rank_matches_dense_rref(case):
     rows, matrix = case
     dense = to_dense(matrix, rows)
     assert sparse_rank(matrix) == len(rref(dense)[1])
+    # the pivot keys are the leading indices of the span: the rref pivot
+    # columns of the same vectors taken as rows
+    as_rows = [[col.get(i, 0) for i in range(rows)] for col in matrix]
+    assert set(sparse_pivots(matrix)) == set(rref(as_rows)[1])
 
 
 def test_sparse_rank_zero_and_repeated_columns():
