@@ -150,7 +150,9 @@ def cauchy_symmetric_decomposition(params: SuperParams, d: int) -> list[Weight]:
         raise DomainError("Cauchy decomposition is implemented for gl(k|k) only")
     k = params.n
     if k > CAUCHY_MAX_K or d > CAUCHY_MAX_D:
-        raise ResourceLimitError(f"requested (k={k}, d={d}) beyond (k<={CAUCHY_MAX_K}, d<={CAUCHY_MAX_D})")
+        raise ResourceLimitError(
+            f"requested (k={k}, d={d}) beyond (CAUCHY_MAX_K, CAUCHY_MAX_D) = ({CAUCHY_MAX_K}, {CAUCHY_MAX_D})"
+        )
     if d < 0:
         raise DomainError("degree must be nonnegative")
     out = []

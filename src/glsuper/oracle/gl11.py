@@ -206,7 +206,7 @@ def _induced(
 def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
     """Minimal projective resolution of Kac(lam) or Simple(lam) to the given depth."""
     if depth > MAX_DEPTH:
-        raise ResourceLimitError(f"depth {depth} exceeds {MAX_DEPTH}")
+        raise ResourceLimitError(f"depth {depth} exceeds MAX_DEPTH = {MAX_DEPTH}")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     if kind == "kac":
@@ -280,7 +280,7 @@ def kl_poly_gl11(lam: int, mu: int) -> list[int]:
     """
     if mu - lam > MAX_DEPTH:
         raise ResourceLimitError(
-            f"pair separation {mu - lam} needs resolution depth beyond {MAX_DEPTH}"
+            f"pair separation {mu - lam} needs resolution depth beyond MAX_DEPTH = {MAX_DEPTH}"
         )
     depth = min(MAX_DEPTH, max(2, mu - lam + 2))
     trace = _kac_trace()

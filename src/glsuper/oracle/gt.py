@@ -12,6 +12,8 @@ lowering terms correspond to the zero vector.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,18 +50,44 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
 
     Each unordered pair is checked once: swapping X and Y multiplies both
     sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
-    exactly when this one does.
+    exactly when this one does.  The check runs in integers: with D the lcm
+    of all entry denominators and X' = D X, the relation holds exactly when
+    X'Y' - (-1)^{|X||Y|} Y'X' - D [X, Y]' = 0, which is D^2 times it.  The
+    three terms of a pair are summed into one table keyed by i * dim + j.
     """
+    scale = math.lcm(*{val.denominator for cols in actions.values() for col in cols for val in col.values()})
+    # per unit, its nonzero columns scaled by D as (j, [(i * dim, D * entry), ...]),
+    # and the same lists keyed by j * dim, where a row key of another unit finds them
+    nonzero = {
+        unit: [(j, [(i * dim, val.numerator * (scale // val.denominator)) for i, val in col.items()])
+               for j, col in enumerate(cols) if col]
+        for unit, cols in actions.items()
+    }
+    by_col = {unit: {j * dim: entries for j, entries in cols} for unit, cols in nonzero.items()}
+
+    def add_product(table: dict[int, int], left: Unit, right: Unit, coeff: int) -> None:
+        left_cols = by_col[left]
+        for j, entries in nonzero[right]:
+            for k, right_val in entries:
+                scaled = coeff * right_val
+                for i, left_val in left_cols.get(k, ()):
+                    table[i + j] += scaled * left_val
+
     units = sorted(actions)
     for pos, left in enumerate(units):
         for right in units[pos:]:
             sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
-            terms = [(actions[u], c) for u, c in super_bracket_units(m, left, right)]
-            xy = sparse_mul(actions[left], actions[right])
-            yx = sparse_mul(actions[right], actions[left]) if right != left else xy
-            # compared as XY = sign * YX + [X, Y], so most pairs need no addition
-            expected = yx if sign == 1 and not terms else sparse_add_scaled([(yx, sign)] + terms, dim)
-            if xy != expected:
+            table: dict[int, int] = defaultdict(int)
+            if right != left:
+                add_product(table, left, right, 1)
+                add_product(table, right, left, -sign)
+            elif sign == -1:
+                add_product(table, left, left, 2)
+            for unit, coeff in super_bracket_units(m, left, right):
+                for j, entries in nonzero[unit]:
+                    for i, val in entries:
+                        table[i + j] -= scale * coeff * val
+            if any(table.values()):
                 raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
@@ -144,7 +172,7 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
         raise DomainError(f"expected {r} coordinates, got {len(hw)}")
     dim = weyl_dim_gl(hw)
     if dim > GT_MAX_DIM:
-        raise ResourceLimitError(f"dimension {dim} exceeds {GT_MAX_DIM}")
+        raise ResourceLimitError(f"dimension {dim} exceeds GT_MAX_DIM = {GT_MAX_DIM}")
     patterns = gt_patterns(hw)
     if len(patterns) != dim:
         raise InternalCheckError(f"{len(patterns)} patterns for Weyl dimension {dim}")

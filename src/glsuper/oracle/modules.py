@@ -14,6 +14,7 @@ relations.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,12 +34,12 @@ from .gt import (
 # (m+n)^3 * dim * b steps, b the bit length of the even part's dimension:
 # the check multiplies (m+n)^2 pairs of matrix units, the nonzeros per
 # column summed over all units grow like m+n, and larger Gelfand-Tsetlin
-# models carry fractions with larger denominators.  Measured on 2 CPUs with
-# Python 3.11 at up to 14 us per step: gl(4|3) K(0), 1,404,928 steps, 14.2 s;
-# gl(6|2) K(0), 2,097,152 steps, 20.6 s; gl(3|1) K(11,5,0|0), 1,257,984
-# steps, 4.4 s; gl(11|1) K(0), 3,538,944 steps, 27.7 s; gl(3|1)
-# K(25,12,0|0), 15,095,808 steps, 60 s.  At the slowest rate the bound is
-# about 29 s, under half the 60 s limit of one benchmark op.
+# models carry larger denominators, so the check scales to larger integers.
+# Measured on 2 CPUs with Python 3.11 at up to 4.6 us per step: gl(4|3) K(0),
+# 1,404,928 steps, 6.5 s; gl(6|2) K(0), 2,097,152 steps, 8.5 s; gl(3|1)
+# K(11,5,0|0), 1,257,984 steps, 0.7 s; gl(11|1) K(0), 3,538,944 steps,
+# 6.7 s; gl(3|1) K(25,12,0|0), 15,095,808 steps, 10 s.  At the slowest rate
+# the bound is about 10 s, a sixth of the 60 s limit of one benchmark op.
 KAC_MAX_COST = 2_100_000
 
 OddElement = tuple[tuple[Unit, int], ...]
@@ -114,22 +115,15 @@ def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> Spars
     """Column-sparse action of an even unit on the tensor basis p*dimB + q."""
     m = params.m
     dim_b = right_rep.dim
-    dim = left_rep.dim * dim_b
-    cols: SparseCols = [dict() for _ in range(dim)]
+    cells = [(p, q) for p in range(left_rep.dim) for q in range(dim_b)]
     a, b = unit
     if a <= m and b <= m:
         factor = left_rep.actions[(a, b)]
-        for p in range(left_rep.dim):
-            for q in range(dim_b):
-                cols[p * dim_b + q] = {p2 * dim_b + q: v for p2, v in factor[p].items()}
-    elif a > m and b > m:
+        return [{p2 * dim_b + q: v for p2, v in factor[p].items()} for p, q in cells]
+    if a > m and b > m:
         factor = right_rep.actions[(a - m, b - m)]
-        for p in range(left_rep.dim):
-            for q in range(dim_b):
-                cols[p * dim_b + q] = {p * dim_b + q2: v for q2, v in factor[q].items()}
-    else:
-        raise ParameterError(f"{unit} is not an even unit")
-    return cols
+        return [{p * dim_b + q2: v for q2, v in factor[q].items()} for p, q in cells]
+    raise ParameterError(f"{unit} is not an even unit")
 
 
 def kac_cost(lam: Weight) -> tuple[int, int]:
@@ -155,14 +149,11 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     left_rep = gl_simple(m, lam.coeffs[:m])
     right_rep = gl_simple(n, lam.coeffs[m:])
 
-    if side == 1:
-        wedge_units = [(m + j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
-        straight_units = [(i, m + j) for j in range(1, n + 1) for i in range(1, m + 1)]
-    elif side == -1:
-        wedge_units = [(i, m + j) for j in range(1, n + 1) for i in range(1, m + 1)]
-        straight_units = [(m + j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
-    else:
+    if side not in (1, -1):
         raise ParameterError("side must be +1 or -1")
+    lower = [(m + j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
+    upper = [(i, m + j) for j in range(1, n + 1) for i in range(1, m + 1)]
+    wedge_units, straight_units = (lower, upper) if side == 1 else (upper, lower)
     wedge_index = {u: t for t, u in enumerate(wedge_units)}
 
     subsets = [
@@ -172,105 +163,77 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     ]
     subset_index = {s: i for i, s in enumerate(subsets)}
 
-    def flat(s_idx: int, u: int) -> int:
-        return s_idx * dim_l0 + u
-
     even_units = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1)]
     even_units += [(a, b) for a in range(m + 1, m + n + 1) for b in range(m + 1, m + n + 1)]
     l0_cols = {unit: _g0_unit_cols(params, left_rep, right_rep, unit) for unit in even_units}
 
-    adj: dict[Unit, list[list[tuple[int, int]]]] = {}
-    for unit in even_units:
-        table = []
-        for gen in wedge_units:
-            terms = []
-            for target, coeff in super_bracket_units(m, unit, gen):
-                t2 = wedge_index.get(target)
-                if t2 is None:
-                    raise InternalCheckError(f"[{unit}, {gen}] leaves the wedge side")
-                terms.append((t2, coeff))
-            table.append(terms)
-        adj[unit] = table
+    # adj[unit][t]: [unit, w_t] as (t2, coeff) terms of wedge generators w_t2
+    adj = {
+        unit: [[(wedge_index.get(u2), c) for u2, c in super_bracket_units(m, unit, gen)] for gen in wedge_units]
+        for unit in even_units
+    }
+    if any(t2 is None for table in adj.values() for terms in table for t2, _ in terms):
+        raise InternalCheckError("an even unit moves a wedge generator off the wedge side")
 
-    def wedge_sign(subset: tuple[int, ...], t: int) -> int:
-        return -1 if sum(1 for r in subset if r < t) % 2 else 1
-
-    def even_on_basis(unit: Unit, subset: tuple[int, ...], u: int) -> dict[int, int | Fraction]:
-        s_idx = subset_index[subset]
-        out = {flat(s_idx, u2): val for u2, val in l0_cols[unit][u].items()}
-        for pos, t in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1 :]
-            for t2, coeff in adj[unit][t]:
-                if t2 in rest:
-                    continue
-                sign = (-1) ** pos * wedge_sign(rest, t2)
-                new_subset = tuple(sorted(rest + (t2,)))
-                key = flat(subset_index[new_subset], u)
-                v = out.get(key, 0) + sign * coeff
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return out
+    # wedge_into[s][t]: index of subset s with t added, and the sign of moving w_t into place
+    wedge_into = [
+        {t: (subset_index[tuple(sorted(s + (t,)))], (-1) ** sum(r < t for r in s))
+         for t in range(nodd) if t not in s}
+        for s in subsets
+    ]
 
     action_cols: dict[Unit, SparseCols] = {}
     for unit in even_units:
-        cols: SparseCols = [dict() for _ in range(dim)]
+        cols: SparseCols = []
         for s_idx, subset in enumerate(subsets):
+            # [unit, w_t] replaces the wedge factor w_t by its adj terms, whatever u is
+            moves: dict[int, int] = defaultdict(int)
+            for pos, t in enumerate(subset):
+                rest_into = wedge_into[subset_index[subset[:pos] + subset[pos + 1 :]]]
+                for t2, coeff in adj[unit][t]:
+                    if t2 in rest_into:
+                        target, sign = rest_into[t2]
+                        moves[target] += (-1) ** pos * sign * coeff
             for u in range(dim_l0):
-                cols[flat(s_idx, u)] = even_on_basis(unit, subset, u)
+                out = {s_idx * dim_l0 + u2: val for u2, val in l0_cols[unit][u].items()}
+                for target, coeff in moves.items():
+                    key = target * dim_l0 + u
+                    out[key] = out.get(key, 0) + coeff
+                cols.append({key: v for key, v in out.items() if v})
         action_cols[unit] = cols
 
     for t, unit in enumerate(wedge_units):
         cols = [dict() for _ in range(dim)]
-        for s_idx, subset in enumerate(subsets):
-            if t in subset:
-                continue
-            target = subset_index[tuple(sorted(subset + (t,)))]
-            sign = wedge_sign(subset, t)
-            for u in range(dim_l0):
-                cols[flat(s_idx, u)] = {flat(target, u): sign}
+        for s_idx, into in enumerate(wedge_into):
+            if t in into:
+                target, sign = into[t]
+                for u in range(dim_l0):
+                    cols[s_idx * dim_l0 + u] = {target * dim_l0 + u: sign}
         action_cols[unit] = cols
 
-    def apply_straight(x_unit: Unit, subset: tuple[int, ...], u: int) -> dict[int, int | Fraction]:
-        if not subset:
-            return {}
-        head, rest = subset[0], subset[1:]
-        out: dict[int, int | Fraction] = {}
-        for g0_unit, coeff in super_bracket_units(m, x_unit, wedge_units[head]):
-            for key, val in even_on_basis(g0_unit, rest, u).items():
-                v = out.get(key, 0) + coeff * val
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        for key, val in apply_straight(x_unit, rest, u).items():
-            s2_idx, u2 = divmod(key, dim_l0)
-            subset2 = subsets[s2_idx]
-            if head in subset2:
-                continue
-            sign = wedge_sign(subset2, head)
-            key2 = flat(subset_index[tuple(sorted(subset2 + (head,)))], u2)
-            v = out.get(key2, 0) - sign * val
-            if v:
-                out[key2] = v
-            elif key2 in out:
-                del out[key2]
-        return out
-
-    for unit in straight_units:
+    # x (w_head ^ rest) = [x, w_head] rest - w_head ^ (x rest) on the basis vector
+    # (head, rest..., u); subsets grow in size, so both terms read columns built before
+    for x_unit in straight_units:
         cols = [dict() for _ in range(dim)]
-        for s_idx, subset in enumerate(subsets):
+        for s_idx, subset in enumerate(subsets[1:], 1):
+            head, rest_idx = subset[0], subset_index[subset[1:]]
             for u in range(dim_l0):
-                cols[flat(s_idx, u)] = apply_straight(unit, subset, u)
-        action_cols[unit] = cols
+                rest_col = rest_idx * dim_l0 + u
+                out: dict[int, int | Fraction] = defaultdict(int)
+                for g0_unit, coeff in super_bracket_units(m, x_unit, wedge_units[head]):
+                    for key, val in action_cols[g0_unit][rest_col].items():
+                        out[key] += coeff * val
+                for key, val in cols[rest_col].items():
+                    into = wedge_into[key // dim_l0]
+                    if head in into:
+                        target, sign = into[head]
+                        out[target * dim_l0 + key % dim_l0] -= sign * val
+                # sums of fractions may come out integral; even columns stay exact
+                cols[s_idx * dim_l0 + u] = {key: exact(v) for key, v in out.items() if v}
+        action_cols[x_unit] = cols
 
-    actions = {
-        unit: [{i: exact(v) for i, v in col.items()} for col in cols]
-        for unit, cols in action_cols.items()
-    }
     parity = tuple(len(subsets[idx // dim_l0]) % 2 for idx in range(dim))
-    return MatrixModule(params, dim, actions, parity)
+    return MatrixModule(params, dim, action_cols, parity)
 
 
 def trivial_module(params: SuperParams) -> MatrixModule:

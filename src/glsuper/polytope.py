@@ -155,7 +155,9 @@ def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
     if d < 1:
         raise DomainError("dilation must be positive")
     if k > ENUM_MAX_K or d > ENUM_MAX_D:
-        raise ResourceLimitError(f"(k={k}, d={d}) exceeds (k<={ENUM_MAX_K}, d<={ENUM_MAX_D})")
+        raise ResourceLimitError(
+            f"(k={k}, d={d}) exceeds (ENUM_MAX_K, ENUM_MAX_D) = ({ENUM_MAX_K}, {ENUM_MAX_D})"
+        )
 
     gap = Fraction(d, 2 * k * k)
     min_step = math.ceil(gap)  # integer b-gaps must be >= ceil(d/2k^2)
@@ -198,7 +200,7 @@ def _check_count_k(k: int) -> None:
     if k < 2:
         raise DegenerateCaseError("lattice counting needs k >= 2; see k1_degenerate_point()")
     if k > ENUM_MAX_K:
-        raise ResourceLimitError(f"k={k} exceeds k<={ENUM_MAX_K}")
+        raise ResourceLimitError(f"k={k} exceeds ENUM_MAX_K = {ENUM_MAX_K}")
 
 
 @cache
@@ -216,7 +218,7 @@ def count_lattice_points(k: int, d: int) -> int:
     if d < 1:
         raise DomainError("dilation must be positive")
     if d > ENUM_MAX_D:
-        raise ResourceLimitError(f"d={d} exceeds d<={ENUM_MAX_D}")
+        raise ResourceLimitError(f"d={d} exceeds ENUM_MAX_D = {ENUM_MAX_D}")
 
     min_step = -(-d // (2 * k * k))
     b = [0] * k

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glsuper.cli
 from glsuper.cli import main
-from glsuper.errors import InternalCheckError
-from glsuper.oracle.gt import gt_patterns
-from glsuper.polytope import enumerate_lattice_points
+from glsuper.dimensions import cauchy_symmetric_decomposition
+from glsuper.errors import InternalCheckError, ResourceLimitError
+from glsuper.oracle.gl11 import gl11_minimal_resolution, kl_poly_gl11
+from glsuper.oracle.gt import gl_simple, gt_patterns
+from glsuper.polytope import count_lattice_points, enumerate_lattice_points
 from glsuper.weights import SuperParams, Weight, weight_from_json
 
 
@@ -281,3 +287,71 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degenerate_point"] == [-1, -1]
+
+
+def sorted_weight(draw, m, n, lo, hi):
+    left = sorted(draw(st.lists(st.integers(lo[0], hi[0]), min_size=m, max_size=m)), reverse=True)
+    right = sorted(draw(st.lists(st.integers(lo[1], hi[1]), min_size=n, max_size=n)), reverse=True)
+    return "--weight=" + ",".join(map(str, left + right))
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(["classify", "ehrhart", "resolve", "invariants"]))
+    fmt = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    if command == "classify":
+        m = draw(st.integers(1, 4))
+        n = draw(st.integers(1, m))
+        sample = ["--sample", str(draw(st.integers(1, 20))), "--seed", str(draw(st.integers(0, 99)))]
+        return ["classify", "--m", str(m), "--n", str(n), *sample, *fmt]
+    if command == "ehrhart":
+        dmax = draw(st.integers(1, 40))
+        return ["ehrhart", "--k", "2", "--dmin", str(draw(st.integers(1, dmax))), "--dmax", str(dmax), *fmt]
+    if command == "resolve":
+        target = draw(st.sampled_from(["kac", "simple"]))
+        label, depth = draw(st.integers(-3, 3)), draw(st.integers(0, 10))
+        return ["resolve", "--target", target, "--weight", str(label), "--depth", str(depth), *fmt]
+    # coefficient ranges (left side, right side) keep every module at dimension 384 or less
+    m, n, lo, hi = draw(
+        st.sampled_from([(2, 1, (-2, -2), (2, 2)), (2, 2, (-1, -1), (1, 1)), (3, 2, (0, -1), (1, 0))])
+    )
+    kind = draw(st.sampled_from(["kac", "dualkac", "simple"]))
+    weight = sorted_weight(draw, m, n, lo, hi)
+    return ["invariants", "--m", str(m), "--n", str(n), "--kind", kind, "--verify", weight, *fmt]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_argv())
+def test_reruns_are_byte_identical(argv):
+    outputs = []
+    for _ in range(2):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        outputs.append((code, stdout.getvalue().encode()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gl_simple(3, (60, 0, -60)), "dimension 226981 exceeds GT_MAX_DIM = 10000"),
+        (lambda: count_lattice_points(4, 5), "k=4 exceeds ENUM_MAX_K = 3"),
+        (lambda: count_lattice_points(2, 500), "d=500 exceeds ENUM_MAX_D = 200"),
+        (
+            lambda: enumerate_lattice_points(2, 500),
+            "(k=2, d=500) exceeds (ENUM_MAX_K, ENUM_MAX_D) = (3, 200)",
+        ),
+        (
+            lambda: cauchy_symmetric_decomposition(SuperParams(5, 5), 1),
+            "(k=5, d=1) beyond (CAUCHY_MAX_K, CAUCHY_MAX_D) = (4, 30)",
+        ),
+        (lambda: gl11_minimal_resolution("kac", 0, 26), "depth 26 exceeds MAX_DEPTH = 25"),
+        (lambda: kl_poly_gl11(0, 26), "pair separation 26 needs resolution depth beyond MAX_DEPTH = 25"),
+    ],
+)
+def test_resource_limit_messages_name_their_bound(call, message):
+    with pytest.raises(ResourceLimitError) as info:
+        call()
+    assert message in str(info.value)

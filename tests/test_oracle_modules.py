@@ -1,14 +1,19 @@
+import functools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import glsuper
+import slow_modules
 from glsuper.dimensions import weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from glsuper.oracle import modules
+from glsuper.oracle.gt import check_super_brackets, gl_simple
 from glsuper.oracle.modules import (
     KAC_MAX_COST,
     MatrixModule,
@@ -25,7 +30,7 @@ from glsuper.oracle.modules import (
     trivial_module,
     trivial_summand_check,
 )
-from glsuper.ratlinalg import sparse_rank
+from glsuper.ratlinalg import exact, sparse_rank
 from glsuper.weights import SuperParams, Weight
 
 P11 = SuperParams(1, 1)
@@ -106,8 +111,8 @@ def test_kac_scale_guard_fires_before_any_work(monkeypatch):
 
     monkeypatch.setattr(modules, "gl_simple", no_work)
     # gl(4|3) K(1,0,0,0|0,0,0): dimension 2^12 * 4, cost 7^3 * 16384 * 3;
-    # gl(12|1) K(0): cost 13^3 * 4096 (47 s measured); gl(3|1) K(25,12,0|0):
-    # dimension 8 * 2457, cost 4^3 * 19656 * 12 (60 s measured)
+    # gl(12|1) K(0): cost 13^3 * 4096 (19 s measured); gl(3|1) K(25,12,0|0):
+    # dimension 8 * 2457, cost 4^3 * 19656 * 12 (10 s measured)
     refused = (
         (Weight(SuperParams(4, 3), (1, 0, 0, 0, 0, 0, 0)), 16384, 16859136),
         (Weight.zero(SuperParams(12, 1)), 4096, 8998912),
@@ -123,7 +128,7 @@ def test_kac_scale_guard_fires_before_any_work(monkeypatch):
 
 
 def test_kac_cost_guard_admits_measured_modules():
-    # gl(4|3) K(0) (14.2 s measured), gl(6|2) K(0) (20.6 s), the suite's
+    # gl(4|3) K(0) (6.5 s measured), gl(6|2) K(0) (8.5 s), the suite's
     # largest module gl(3|3) K(0), and the dimension-192 gl(3|2) modules of
     # the benchmark's modules workload
     admitted = (
@@ -146,6 +151,111 @@ BROKEN_GL11 = {(1, 1): [{0: 1}], (2, 2): [{}], (1, 2): [{}], (2, 1): [{}]}
 def test_broken_bracket_rejected():
     with pytest.raises(InternalCheckError, match="bracket relation fails"):
         MatrixModule(P11, 1, BROKEN_GL11, (0,))
+
+
+def test_odd_square_alone_rejected():
+    # E12 shifts v0 -> v1 -> v2 with E12^2 != 0, E21 = 0 and E11 = -E22 = diag(0, 1, 2):
+    # every relation holds except [E12, E12] = 0, which only the diagonal pair checks
+    actions = {
+        (1, 1): [{}, {1: 1}, {2: 2}],
+        (2, 2): [{}, {1: -1}, {2: -2}],
+        (1, 2): [{1: 1}, {2: 1}, {}],
+        (2, 1): [{}, {}, {}],
+    }
+    with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(1, 2\)$"):
+        MatrixModule(P11, 3, actions, (0, 1, 0))
+
+
+# (actions, dim, m) of valid modules: Kac and dual Kac modules, some with
+# fractional entries, and Gelfand-Tsetlin models of simple gl(r) modules
+BRACKET_CASES = {
+    "gl11 K(0)": lambda: kac_module(Weight.zero(P11)),
+    "gl11 dual K(2|-1)": lambda: dual_kac_module(Weight(P11, (2, -1))),
+    "gl21 K(1,0|0)": lambda: kac_module(Weight(P21, (1, 0, 0))),
+    "gl21 dual K(2,0|-1)": lambda: dual_kac_module(Weight(P21, (2, 0, -1))),
+    "gl22 K(0)": lambda: kac_module(Weight.zero(P22)),
+    "gl22 dual K(1,0|0,-1)": lambda: dual_kac_module(Weight(P22, (1, 0, 0, -1))),
+    "gl32 K(1,0,0|0,0)": lambda: kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0))),
+    "gl32 dual K(0,0,0|2,0)": lambda: dual_kac_module(Weight(SuperParams(3, 2), (0, 0, 0, 2, 0))),
+    "gl3 L(2,1,0)": lambda: gl_simple(3, (2, 1, 0)),
+    "gl4 L(1,0,0,0)": lambda: gl_simple(4, (1, 0, 0, 0)),
+    "gl2 L(4,-4)": lambda: gl_simple(2, (4, -4)),
+}
+
+
+@functools.cache
+def bracket_case(name):
+    module = BRACKET_CASES[name]()
+    m = module.params.m if isinstance(module, MatrixModule) else module.r
+    return module.actions, module.dim, m
+
+
+def bracket_outcome(check, actions, dim, m):
+    try:
+        check(actions, dim, m)
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+NONZERO = st.fractions(-3, 3, max_denominator=4).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_bracket_check_matches_slow_oracle(data):
+    name = data.draw(st.sampled_from(sorted(BRACKET_CASES)), label="module")
+    base, dim, m = bracket_case(name)
+    actions = {unit: [dict(col) for col in cols] for unit, cols in base.items()}
+    kind = data.draw(st.sampled_from(["none", "change", "add", "delete", "scale"]), label="kind")
+    units = sorted(actions)
+    if kind in ("change", "delete"):
+        entries = [(unit, j, i) for unit in units for j, col in enumerate(actions[unit]) for i in col]
+        unit, j, i = data.draw(st.sampled_from(entries), label="entry")
+    elif kind == "add":
+        unit = data.draw(st.sampled_from(units), label="unit")
+        j, i = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), label="position")
+    if kind in ("change", "add"):
+        value = actions[unit][j].get(i, 0) + data.draw(NONZERO, label="delta")
+        if value:
+            actions[unit][j][i] = exact(value)
+        else:
+            del actions[unit][j][i]
+    elif kind == "delete":
+        del actions[unit][j][i]
+    elif kind == "scale":
+        c = data.draw(NONZERO.filter(lambda c: c != 1), label="scale")
+        actions = {u: [{i: exact(c * v) for i, v in col.items()} for col in cols] for u, cols in actions.items()}
+    fast = bracket_outcome(check_super_brackets, actions, dim, m)
+    assert fast == bracket_outcome(slow_modules.check_super_brackets, actions, dim, m)
+    if kind == "none":
+        assert fast is None
+
+
+def entry_types(actions):
+    return {unit: [{i: type(v) for i, v in col.items()} for col in cols] for unit, cols in actions.items()}
+
+
+@pytest.mark.parametrize(
+    "params,coeffs",
+    [
+        (P11, (0, 0)),
+        (P21, (1, 0, 0)),
+        (P22, (0, 0, 0, 0)),
+        (SuperParams(3, 2), (1, 0, 0, 0, 0)),
+        (SuperParams(3, 2), (0, 0, -1, 0, 0)),
+        (SuperParams(3, 2), (0, 0, 0, 2, 0)),
+    ],
+)
+def test_construction_matches_recursive_straightening(params, coeffs):
+    w = Weight(params, coeffs)
+    for module, (actions, parity) in (
+        (kac_module(w), slow_modules.induced_actions(w, 1)),
+        (dual_kac_module(w), slow_modules.dual_induced_actions(w)),
+    ):
+        assert module.parity == parity
+        assert module.actions == actions
+        assert entry_types(module.actions) == entry_types(actions)
 
 
 def test_broken_parity_rejected():
