@@ -70,6 +70,8 @@ def _parse_weight(params: SuperParams, text: str) -> Weight:
 
 
 def _gather_weights(params: SuperParams, args) -> list[Weight]:
+    if args.sample < 0:
+        raise argparse.ArgumentTypeError(f"--sample must not be negative, got {args.sample}")
     if args.sample > SAMPLE_MAX:
         raise ResourceLimitError(
             f"--sample {args.sample} exceeds SAMPLE_MAX = {SAMPLE_MAX} weights"
@@ -285,6 +287,8 @@ def cmd_resolve(args) -> int:
 
     if not 0 <= args.depth <= MAX_DEPTH:
         raise argparse.ArgumentTypeError(f"--depth must lie in 0..{MAX_DEPTH}")
+    if args.kl_window is not None and args.kl_window < 0:
+        raise argparse.ArgumentTypeError(f"--kl-window must not be negative, got {args.kl_window}")
     # the KL table pairs lam = -W with mu = W, and kl_poly_gl11 refuses a
     # separation beyond MAX_DEPTH; refuse it here, before the resolution runs
     if args.kl_window is not None and 2 * args.kl_window > MAX_DEPTH:

@@ -37,14 +37,14 @@ from .ratlinalg import rref
 
 ENUM_MAX_K = 3
 ENUM_MAX_D = 200
-# Counting k=3 at d = 1..136 (9.4 million predicted steps) took 12.4 s on
-# 2 CPUs with Python 3.11, which leaves room under a 60 s limit on a host
-# running at half that speed.
+# Counting k=3 at d = 1..136 (9.4 million predicted steps) takes 4.8-5.1 s
+# (11-12 s with the loop kernel) on 2 CPUs with Python 3.11, well under a 60 s
+# limit on a host running at half that speed.
 COUNT_MAX_STEPS = 10_000_000
-# count_lattice_points(k, d) makes about d^(2k-2) / _STEP_DIVISOR[k] closed-form
-# steps.  Measured for d = 50..200: d^2/17.7 to d^2/21.2 (k=2), d^4/843 to
-# d^4/1371 (k=3); summed over d = 1..200, the k=3 prediction (64.8 million)
-# lies 18% above the true count (54.9 million).
+# The kernel that looped over the last b made about d^(2k-2) / _STEP_DIVISOR[k]
+# closed-form steps: d^2/17.7 to d^2/21.2 (k=2), d^4/843 to d^4/1371 (k=3) for
+# d = 50..200.  Summing that coordinate in closed form leaves about d/2 (k=2)
+# and d^3/136 (k=3) _clipped_sum calls, so the prediction now over-estimates.
 _STEP_DIVISOR = {2: 16, 3: 1000}
 
 LinearCondition = tuple[tuple[Fraction, ...], Fraction]
@@ -203,16 +203,29 @@ def _check_count_k(k: int) -> None:
         raise ResourceLimitError(f"k={k} exceeds ENUM_MAX_K = {ENUM_MAX_K}")
 
 
+def _clipped_sum(P: int, R: int, D: int, lo: int, hi: int) -> int:
+    """Sum over e = lo..hi of max(0, min(P - ceil((e - D)/2), e + R)): with e = D + 2t - r
+    (r = 0, 1) the ceiling is t, and the minimum is D + R - r + 2t up to
+    t = (P - D + r - R) // 3, then P - t; both series are clipped at 0."""
+    total = 0
+    for r in (0, 1):
+        t_lo, t_hi, t_c = (lo - D + r + 1) // 2, (hi - D + r) // 2, (P - D + r - R) // 3
+        first, last = max(t_lo, (2 - D - R + r) // 2), min(t_hi, t_c)
+        total += max(0, last - first + 1) * (D + R - r + first + last)
+        first, last = max(t_lo, t_c + 1), min(t_hi, P - 1)
+        total += max(0, last - first + 1) * (2 * P - first - last) // 2
+    return total
+
+
 @cache
 def count_lattice_points(k: int, d: int) -> int:
     """The number of integer points of the d-dilated polytope, none of them built.
 
-    The b coordinates are walked as in enumerate_lattice_points; the last one
-    steps by 2 from -d - sum(b_1..b_{k-1}), which keeps exactly the b with
-    sum(b) >= -d and sum(b) - d even.  For each b this counts the weakly
-    decreasing a with a_v <= b_v, a_1 <= 0 and sum(a) = (sum(b) - d)/2: a loop
-    over a_1..a_{k-2}, then the last two in closed form.  The bound a_v >= -d
-    holds without a check, since every a_v <= 0 and sum(a) >= -d.
+    The b are walked as in enumerate_lattice_points up to b_k = -d - sum(b_1..b_{k-1}) + 2e,
+    e >= 0: exactly the b with sum(b) >= -d and sum(b) - d even.  The weakly decreasing
+    a with a_v <= b_v, a_1 <= 0 and sum(a) = e - d are counted by a loop over a_1..a_{k-2},
+    each at least the mean of the entries left, then one _clipped_sum over e for the last
+    two.  The bound a_v >= -d holds unchecked: every a_v <= 0 and sum(a) >= -d.
     """
     _check_count_k(k)
     if d < 1:
@@ -221,34 +234,27 @@ def count_lattice_points(k: int, d: int) -> int:
         raise ResourceLimitError(f"d={d} exceeds ENUM_MAX_D = {ENUM_MAX_D}")
 
     min_step = -(-d // (2 * k * k))
-    b = [0] * k
 
-    def count_a(v: int, a_prev: int, rest: int) -> int:
-        # weakly decreasing a_v..a_{k-1} (0-based), each <= a_prev and <= b_v, summing to rest
+    def count_a(b: tuple, v: int, a_prev: int, sum_a: int, total_b: int, e_max: int) -> int:
+        # weakly decreasing a_v..a_{k-1} (0-based), each <= a_prev and <= b_v, summing
+        # to e - d - sum_a, for e = 0..e_max
+        top = min(a_prev, b[v])
         if v == k - 2:
-            # a_v = x and a_{k-1} = rest - x need rest - x <= x and rest - x <= b_{k-1}
-            return max(0, min(a_prev, b[v]) - max(-(-rest // 2), rest - b[v + 1]) + 1)
-        # a_v is the largest of the k - v entries left, so at least their mean
+            # a_v >= ceil((e - d - sum_a)/2), a_v >= total_b - sum_a - e (a_{k-1} <= b_{k-1})
+            return _clipped_sum(top + 1, top + 1 - total_b + sum_a, d + sum_a, 0, e_max)
         return sum(
-            count_a(v + 1, a, rest - a)
-            for a in range(-(-rest // (k - v)), min(a_prev, b[v]) + 1)
+            count_a(b, v + 1, a, sum_a + a, total_b, min(e_max, (k - v) * a + d + sum_a))
+            for a in range(-((d + sum_a) // (k - v)), top + 1)
         )
 
-    def walk_b(v: int, total_b: int) -> int:
-        upper = b[v - 1] - min_step if v else -min_step
-        found = 0
-        if v < k - 1:
-            for value in range(-d, upper + 1):
-                b[v] = value
-                found += walk_b(v + 1, total_b + value)
-            return found
-        # sum(b) = -d + 2 * excess, so sum(a) = excess - d
-        for excess, value in enumerate(range(-d - total_b, upper + 1, 2)):
-            b[v] = value
-            found += count_a(0, 0, excess - d)
-        return found
+    def walk_b(b: tuple, total_b: int) -> int:
+        upper = b[-1] - min_step if b else -min_step
+        if len(b) == k - 1:
+            e_max = (upper + d + total_b) // 2
+            return count_a(b, 0, 0, 0, total_b, e_max) if e_max >= 0 else 0
+        return sum(walk_b(b + (value,), total_b + value) for value in range(-d, upper + 1))
 
-    return walk_b(0, 0)
+    return walk_b((), 0)
 
 
 def check_count_cost(k: int, ds: Iterable[int]) -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -94,6 +95,18 @@ def test_classify_sample_guard_fires_before_sampling(capsys, monkeypatch):
     # the bound itself is admitted: sampling starts, and hits the patched generator
     with pytest.raises(_Refused):
         main(["classify", "--m", "4", "--n", "3", "--sample", str(glsuper.cli.SAMPLE_MAX)])
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_negative_sample_is_a_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(glsuper.cli, "_classify_one", _refuse)
+    monkeypatch.setattr(glsuper.cli, "variety_dims", _refuse)
+    monkeypatch.setattr(glsuper.cli.random, "Random", _refuse)
+    extra = ["--kind", "kac"] if command == "invariants" else []
+    argv = [command, "--m", "2", "--n", "1", "--weight", "0,0,0", "--sample", "-3", *extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "--sample must not be negative, got -3" in err
 
 
 def test_classify_weights_file(capsys, tmp_path):
@@ -210,6 +223,26 @@ def test_ehrhart_k3_reports_infeasible_fit(capsys):
         assert row == {"d": row["d"], "count": len(enumerate_lattice_points(3, row["d"]))}
 
 
+# sha256 of stdout, recorded from the kernel that looped over every b coordinate
+EHRHART_STDOUT_SHA256 = {
+    ("ehrhart", "--k", "2", "--dmax", "160"):
+        "726aa9b3c0997286bc7ea3ebe6b18a8616eee925e94481c9b1e32e6653dbbc1f",
+    ("ehrhart", "--k", "2", "--dmin", "3", "--dmax", "160", "--format", "csv"):
+        "5e3a8e113b469d4558c480b215e12338a658f1ec6f3a3cb1ff5c5c83de1f6911",
+    ("ehrhart", "--k", "3", "--dmax", "40"):
+        "492108dc72e961b513d8718e6ac686f68455b6245011fcf8e49ae92072c9fb4b",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,digest", EHRHART_STDOUT_SHA256.items(), ids=["k2-json", "k2-csv", "k3-json"]
+)
+def test_ehrhart_stdout_matches_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):
     def counting(*_args):
         raise AssertionError("counted before the cost guard")
@@ -262,6 +295,16 @@ def test_resolve_kl_window_guard_fires_before_resolving(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert "--kl-window 13 needs pair separation 26, beyond resolution depth 25" in err
+
+
+def test_negative_kl_window_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(glsuper.cli, "gl11_minimal_resolution", _refuse)
+    monkeypatch.setattr(glsuper.cli, "kl_poly_gl11", _refuse)
+    code, out, err = run(
+        capsys, "resolve", "--target", "simple", "--depth", "3", "--kl-window", "-2"
+    )
+    assert code == 64 and out == ""
+    assert "--kl-window must not be negative, got -2" in err
 
 
 def test_resolve_largest_kl_window_accepted(capsys):

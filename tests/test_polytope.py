@@ -8,8 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import slow_polytope
 from dense_linalg import rank, solve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glsuper
@@ -139,6 +140,32 @@ def test_count_matches_enumeration(case):
     k, d = case
     # __wrapped__ bypasses the cache, so every example runs the kernel
     assert count_lattice_points.__wrapped__(k, d) == len(enumerate_lattice_points(k, d))
+
+
+def _direct_clipped_sum(P, R, D, lo, hi):
+    return sum(max(0, min(P - -(-(e - D) // 2), e + R)) for e in range(lo, hi + 1))
+
+
+# the rising and falling parts of the minimum cross near e = (2(P - R) + D)/3, which is
+# 6 for (P, R, D) = (10, 1, 0)
+@settings(max_examples=400, deadline=None)
+@given(*[st.integers(-40, 40)] * 5)
+@example(10, 1, 0, 3, 2)  # hi < lo
+@example(-5, -50, 0, 0, 10)  # every term negative
+@example(10, 1, 0, 6, 20)  # crossover at lo
+@example(10, 1, 0, 0, 6)  # crossover at hi
+@example(10, 1, 0, 10, 20)  # crossover below the range
+@example(10, 1, 0, -10, 2)  # crossover above the range
+@example(10, 1, 7, 8, 12)  # crossover at lo, D odd
+def test_clipped_sum_matches_direct_loop(P, R, D, lo, hi):
+    assert polytope._clipped_sum(P, R, D, lo, hi) == _direct_clipped_sum(P, R, D, lo, hi)
+
+
+def test_count_matches_slow_loop_kernel():
+    # k=2 at every admitted dilation, k=3 as far as the slow kernel stays quick
+    for k, top in ((2, 200), (3, 60)):
+        for d in range(1, top + 1):
+            assert count_lattice_points.__wrapped__(k, d) == slow_polytope.count_lattice_points(k, d)
 
 
 def test_count_builds_no_points(monkeypatch):
