@@ -77,12 +77,18 @@ def _gather_weights(params: SuperParams, args) -> list[Weight]:
             f"--sample {args.sample} exceeds SAMPLE_MAX = {SAMPLE_MAX} weights"
         )
     weights = [_parse_weight(params, text) for text in args.weight or []]
-    if args.weights_file:
-        with open(args.weights_file, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    weights.append(_parse_weight(params, line))
+    path = args.weights_file
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        weights.append(_parse_weight(params, line))
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(f"cannot read --weights-file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise argparse.ArgumentTypeError(f"--weights-file {path} is not UTF-8: {exc.reason}") from exc
     if args.sample:
         rng = random.Random(args.seed)
         for _ in range(args.sample):

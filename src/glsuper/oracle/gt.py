@@ -193,30 +193,18 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
         lower_cols: SparseCols = [dict() for _ in range(dim)]
         for col, p in enumerate(patterns):
             row_k = p.row_of_length(k)
-            row_up = p.row_of_length(k + 1)
             row_down = p.row_of_length(k - 1) if k > 1 else ()
+            # E_{k,k+1} bumps entry i up against the row above, E_{k+1,k} down against the row below
+            bumps = ((1, p.row_of_length(k + 1), raise_cols, -1), (-1, row_down, lower_cols, 1))
             for i in range(1, k + 1):
                 li = _l_value(row_k, i)
-                denom = 1
-                for j in range(1, k + 1):
-                    if j != i:
-                        denom *= li - _l_value(row_k, j)
-                # E_{k,k+1}: bump entry i up by one
-                target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] + 1,) + row_k[i:])
-                if target is not None:
-                    numer = 1
-                    for j in range(1, k + 2):
-                        numer *= li - _l_value(row_up, j)
-                    if numer:
-                        raise_cols[col][index[target]] = exact(Fraction(-numer, denom))
-                # E_{k+1,k}: bump entry i down by one
-                target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] - 1,) + row_k[i:])
-                if target is not None:
-                    numer = 1
-                    for j in range(1, k):
-                        numer *= li - _l_value(row_down, j)
-                    if numer:
-                        lower_cols[col][index[target]] = exact(Fraction(numer, denom))
+                denom = math.prod(li - _l_value(row_k, j) for j in range(1, k + 1) if j != i)
+                for step, other, cols, sign in bumps:
+                    target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] + step,) + row_k[i:])
+                    if target is not None:
+                        numer = math.prod(li - _l_value(other, j) for j in range(1, len(other) + 1))
+                        if numer:
+                            cols[col][index[target]] = exact(Fraction(sign * numer, denom))
         actions[(k, k + 1)] = raise_cols
         actions[(k + 1, k)] = lower_cols
 

@@ -5,8 +5,10 @@ together with a parity label per basis vector.  Each matrix is stored as
 sparse columns (column j maps row i to a nonzero entry), with int entries
 wherever they are integral.  Kac modules are built on the exterior algebra
 of one odd side tensored with a Gelfand-Tsetlin model of the even simple
-module; the opposite odd side acts by straightening the generator past the
-exterior factors, which terminates because the odd sides are abelian.
+module.  The wedge side acts by exterior multiplication; every other unit x
+follows one straightening rule, x (w ^ r) = [x, w] r + (-1)^{|x|} w ^ (x r),
+which reads columns built before: [x, w] is a wedge unit for even x and an
+even unit for the opposite odd side, and r has fewer exterior factors.
 Every constructed module is validated against the full set of superbracket
 relations.
 """
@@ -154,7 +156,6 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     lower = [(m + j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
     upper = [(i, m + j) for j in range(1, n + 1) for i in range(1, m + 1)]
     wedge_units, straight_units = (lower, upper) if side == 1 else (upper, lower)
-    wedge_index = {u: t for t, u in enumerate(wedge_units)}
 
     subsets = [
         s
@@ -165,15 +166,6 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
 
     even_units = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1)]
     even_units += [(a, b) for a in range(m + 1, m + n + 1) for b in range(m + 1, m + n + 1)]
-    l0_cols = {unit: _g0_unit_cols(params, left_rep, right_rep, unit) for unit in even_units}
-
-    # adj[unit][t]: [unit, w_t] as (t2, coeff) terms of wedge generators w_t2
-    adj = {
-        unit: [[(wedge_index.get(u2), c) for u2, c in super_bracket_units(m, unit, gen)] for gen in wedge_units]
-        for unit in even_units
-    }
-    if any(t2 is None for table in adj.values() for terms in table for t2, _ in terms):
-        raise InternalCheckError("an even unit moves a wedge generator off the wedge side")
 
     # wedge_into[s][t]: index of subset s with t added, and the sign of moving w_t into place
     wedge_into = [
@@ -183,25 +175,6 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     ]
 
     action_cols: dict[Unit, SparseCols] = {}
-    for unit in even_units:
-        cols: SparseCols = []
-        for s_idx, subset in enumerate(subsets):
-            # [unit, w_t] replaces the wedge factor w_t by its adj terms, whatever u is
-            moves: dict[int, int] = defaultdict(int)
-            for pos, t in enumerate(subset):
-                rest_into = wedge_into[subset_index[subset[:pos] + subset[pos + 1 :]]]
-                for t2, coeff in adj[unit][t]:
-                    if t2 in rest_into:
-                        target, sign = rest_into[t2]
-                        moves[target] += (-1) ** pos * sign * coeff
-            for u in range(dim_l0):
-                out = {s_idx * dim_l0 + u2: val for u2, val in l0_cols[unit][u].items()}
-                for target, coeff in moves.items():
-                    key = target * dim_l0 + u
-                    out[key] = out.get(key, 0) + coeff
-                cols.append({key: v for key, v in out.items() if v})
-        action_cols[unit] = cols
-
     for t, unit in enumerate(wedge_units):
         cols = [dict() for _ in range(dim)]
         for s_idx, into in enumerate(wedge_into):
@@ -211,25 +184,34 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
                     cols[s_idx * dim_l0 + u] = {target * dim_l0 + u: sign}
         action_cols[unit] = cols
 
-    # x (w_head ^ rest) = [x, w_head] rest - w_head ^ (x rest) on the basis vector
-    # (head, rest..., u); subsets grow in size, so both terms read columns built before
-    for x_unit in straight_units:
-        cols = [dict() for _ in range(dim)]
-        for s_idx, subset in enumerate(subsets[1:], 1):
+    # x (w_head ^ rest) = [x, w_head] rest + (-1)^{|x|} w_head ^ (x rest) on the basis
+    # vector (head, rest..., u).  [x, w_head] is a wedge unit for even x and an even
+    # unit for straight x, built before x; subsets grow, so x rest is built too.
+    for x_unit in even_units + straight_units:
+        if unit_parity(m, x_unit):
+            x_sign, bracket_side, cols = -1, even_units, [dict() for _ in range(dim_l0)]
+        else:
+            x_sign, bracket_side, cols = 1, wedge_units, _g0_unit_cols(params, left_rep, right_rep, x_unit)
+        brackets = [super_bracket_units(m, x_unit, gen) for gen in wedge_units]
+        for gen, terms in zip(wedge_units, brackets):
+            if any(unit not in bracket_side for unit, _ in terms):
+                raise InternalCheckError(f"[{x_unit}, {gen}] leaves the units built before {x_unit}")
+        for subset in subsets[1:]:
             head, rest_idx = subset[0], subset_index[subset[1:]]
+            bracket_cols = [(action_cols[unit], coeff) for unit, coeff in brackets[head]]
             for u in range(dim_l0):
                 rest_col = rest_idx * dim_l0 + u
                 out: dict[int, int | Fraction] = defaultdict(int)
-                for g0_unit, coeff in super_bracket_units(m, x_unit, wedge_units[head]):
-                    for key, val in action_cols[g0_unit][rest_col].items():
+                for unit_cols, coeff in bracket_cols:
+                    for key, val in unit_cols[rest_col].items():
                         out[key] += coeff * val
                 for key, val in cols[rest_col].items():
                     into = wedge_into[key // dim_l0]
                     if head in into:
                         target, sign = into[head]
-                        out[target * dim_l0 + key % dim_l0] -= sign * val
-                # sums of fractions may come out integral; even columns stay exact
-                cols[s_idx * dim_l0 + u] = {key: exact(v) for key, v in out.items() if v}
+                        out[target * dim_l0 + key % dim_l0] += x_sign * sign * val
+                # sums of fractions may come out integral; columns stay exact
+                cols.append({key: exact(v) for key, v in out.items() if v})
         action_cols[x_unit] = cols
 
     parity = tuple(len(subsets[idx // dim_l0]) % 2 for idx in range(dim))

@@ -121,6 +121,35 @@ def test_classify_weights_file(capsys, tmp_path):
     assert payload[1]["weight"]["coeffs"] == [3, 1, -1]
 
 
+def _missing(tmp_path):
+    return tmp_path / "missing.txt", "No such file or directory"
+
+
+def _empty_path(tmp_path):
+    return "", "No such file or directory"
+
+
+def _directory(tmp_path):
+    return tmp_path, "Is a directory"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0,0,0\n\xff,0,0\n")
+    return path, "is not UTF-8"
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("make_file", [_missing, _empty_path, _directory, _not_utf8])
+def test_unreadable_weights_file_is_a_usage_error(capsys, tmp_path, command, make_file):
+    path, reason = make_file(tmp_path)
+    extra = ["--kind", "kac"] if command == "invariants" else []
+    code, out, err = run(capsys, command, "--m", "2", "--n", "1", "--weights-file", str(path), *extra)
+    assert code == 64 and out == ""
+    assert err.count("\n") == 1
+    assert str(path) in err and reason in err
+
+
 def test_ehrhart_truncation_warning(capsys):
     code, out, _ = run(
         capsys, "ehrhart", "--k", "2", "--dmin", "199", "--dmax", "10000", "--format", "csv"

@@ -13,7 +13,7 @@ import slow_modules
 from glsuper.dimensions import weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from glsuper.oracle import modules
-from glsuper.oracle.gt import check_super_brackets, gl_simple
+from glsuper.oracle.gt import check_super_brackets, gl_simple, super_bracket_units
 from glsuper.oracle.modules import (
     KAC_MAX_COST,
     MatrixModule,
@@ -245,6 +245,9 @@ def entry_types(actions):
         (SuperParams(3, 2), (1, 0, 0, 0, 0)),
         (SuperParams(3, 2), (0, 0, -1, 0, 0)),
         (SuperParams(3, 2), (0, 0, 0, 2, 0)),
+        # both even factors non-trivial (dim 144), and many Fraction entries (dim 64)
+        (P22, (2, 0, 1, -1)),
+        (SuperParams(3, 1), (2, 1, 0, 0)),
     ],
 )
 def test_construction_matches_recursive_straightening(params, coeffs):
@@ -256,6 +259,23 @@ def test_construction_matches_recursive_straightening(params, coeffs):
         assert module.parity == parity
         assert module.actions == actions
         assert entry_types(module.actions) == entry_types(actions)
+
+
+@pytest.mark.parametrize(
+    "x_parity,target",
+    # side +1 on gl(1|1): wedge unit (2, 1), straight unit (1, 2), even units (1, 1), (2, 2)
+    [(0, (1, 2)), (1, (2, 1))],
+)
+def test_bracket_off_the_built_units_rejected(monkeypatch, x_parity, target):
+    # an even x must bracket a wedge unit to wedge units, a straight x to even units
+    def bad_bracket(m, left, right):
+        if modules.unit_parity(m, left) == x_parity:
+            return [(target, 1)]
+        return super_bracket_units(m, left, right)
+
+    monkeypatch.setattr(modules, "super_bracket_units", bad_bracket)
+    with pytest.raises(InternalCheckError, match="leaves the units built before"):
+        kac_module(Weight(P11, (0, 0)))
 
 
 def test_broken_parity_rejected():
