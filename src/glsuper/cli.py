@@ -13,28 +13,11 @@ import json
 import random
 import sys
 
+from . import polytope
 from .dimensions import projective_dim_bounds
 from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
-from .oracle import (
-    dual_kac_module,
-    gl11_minimal_resolution,
-    kac_module,
-    kl_poly_gl11,
-    measured_growth,
-    rank_variety,
-)
-from .oracle.modules import KAC_MAX_COST, kac_cost
-from .polytope import (
-    ENUM_MAX_D,
-    check_count_cost,
-    count_lattice_points,
-    eval_poly,
-    fit_quasipolynomial,
-    k1_degenerate_point,
-    lower_bound_poly,
-    polytope_denominator,
-)
+from .oracle import gl11, modules
 from .weights import (
     SuperParams,
     Weight,
@@ -61,11 +44,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_weight(params: SuperParams, text: str) -> Weight:
+def _parse_weight(params: SuperParams, text: str, where: str = "") -> Weight:
+    """A weight that is not params.rank integers is a usage error; where, if
+    given, says where it was read ("path:lineno: ")."""
     try:
         coeffs = tuple(int(c) for c in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"malformed weight {text!r}") from exc
+    except ValueError:
+        coeffs = ()
+    if len(coeffs) != params.rank:
+        raise argparse.ArgumentTypeError(
+            f"{where}malformed weight {text!r}: expected {params.rank} comma-separated integers"
+        )
     return Weight(params, coeffs)
 
 
@@ -81,10 +70,10 @@ def _gather_weights(params: SuperParams, args) -> list[Weight]:
     if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
-                for line in handle:
+                for lineno, line in enumerate(handle, 1):
                     line = line.strip()
                     if line:
-                        weights.append(_parse_weight(params, line))
+                        weights.append(_parse_weight(params, line, f"{path}:{lineno}: "))
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"cannot read --weights-file {path}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
@@ -147,11 +136,11 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
     params = w.params
     if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
         try:
-            module = kac_module(w) if kind is ModuleKind.KAC else dual_kac_module(w)
+            module = modules.kac_module(w) if kind is ModuleKind.KAC else modules.dual_kac_module(w)
         except ResourceLimitError as exc:
             return [{"name": "rank_variety", "skipped": str(exc)}]
         for side, expected in ((1, report.dim_rank_plus), (-1, report.dim_rank_minus)):
-            measured = rank_variety(module, side)
+            measured = modules.rank_variety(module, side)
             checks.append(
                 {
                     "name": f"rank_variety_side_{side:+d}",
@@ -163,9 +152,9 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
             )
     if params == SuperParams(1, 1) and w.coeffs[0] == -w.coeffs[1]:
         target = "kac" if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC) else "simple"
-        trace = gl11_minimal_resolution(target, w.coeffs[0], 12)
-        fit = measured_growth(trace, "dimP")
-        zfit = measured_growth(trace, "unit")
+        trace = gl11.gl11_minimal_resolution(target, w.coeffs[0], 12)
+        fit = gl11.measured_growth(trace, "dimP")
+        zfit = gl11.measured_growth(trace, "unit")
         checks.append(
             {
                 "name": "measured_complexity",
@@ -195,12 +184,12 @@ def _check_verify_cost(kind: ModuleKind, weights: list[Weight]) -> None:
     per-module guard skips are not built and do not count."""
     if kind not in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
         return
-    costs = [kac_cost(w)[1] for w in weights if is_dominant(w)]
-    built = [cost for cost in costs if cost <= KAC_MAX_COST]
-    if sum(built) > KAC_MAX_COST:
+    costs = [modules.kac_cost(w)[1] for w in weights if is_dominant(w)]
+    built = [cost for cost in costs if cost <= modules.KAC_MAX_COST]
+    if sum(built) > modules.KAC_MAX_COST:
         raise ResourceLimitError(
             f"--verify would build {len(built)} modules at a predicted total cost of "
-            f"{sum(built)}, over the bound KAC_MAX_COST = {KAC_MAX_COST}"
+            f"{sum(built)}, over the bound KAC_MAX_COST = {modules.KAC_MAX_COST}"
         )
 
 
@@ -226,46 +215,46 @@ def cmd_invariants(args) -> int:
 def cmd_ehrhart(args) -> int:
     k = args.k
     if k == 1:
-        payload = {"k": 1, "degenerate_point": list(k1_degenerate_point())}
+        payload = {"k": 1, "degenerate_point": list(polytope.k1_degenerate_point())}
         _emit(payload, args)
         return EXIT_OK
     dmin, dmax = args.dmin, args.dmax
     if dmin < 1 or dmax < dmin:
         raise DomainError("need 1 <= dmin <= dmax")
     truncated = None
-    if dmax > ENUM_MAX_D:
-        truncated = f"table truncated at d={ENUM_MAX_D} (resource bound)"
-        dmax = ENUM_MAX_D
+    if dmax > polytope.ENUM_MAX_D:
+        truncated = f"table truncated at d={polytope.ENUM_MAX_D} (resource bound)"
+        dmax = polytope.ENUM_MAX_D
     table = range(dmin, dmax + 1)
     # rejects k before vertices(k) runs, and a table too costly to count
-    check_count_cost(k, table)
+    polytope.check_count_cost(k, table)
     # the fit tries every period up to the vertex-denominator lcm and needs
     # 2k samples per residue class plus a holdout, so counts up to fit_max
-    period_bound = polytope_denominator(k)
+    period_bound = polytope.polytope_denominator(k)
     fit_max = (2 * k + 1) * period_bound
-    fit_ds = range(1, fit_max + 1) if fit_max <= ENUM_MAX_D else range(0)
+    fit_ds = range(1, fit_max + 1) if fit_max <= polytope.ENUM_MAX_D else range(0)
     ds = sorted({*table, *fit_ds})
-    check_count_cost(k, ds)
-    counts = {d: count_lattice_points(k, d) for d in ds}
+    polytope.check_count_cost(k, ds)
+    counts = {d: polytope.count_lattice_points(k, d) for d in ds}
     quasi = None
     bound = None
     fit_error = None
     if not fit_ds:
         fit_error = (
             f"the fit needs counts up to d={fit_max} ({2 * k + 1} x the period "
-            f"bound {period_bound}), beyond the count bound d<={ENUM_MAX_D}"
+            f"bound {period_bound}), beyond the count bound d<={polytope.ENUM_MAX_D}"
         )
     else:
         try:
-            quasi = fit_quasipolynomial(counts, k)
-            bound = lower_bound_poly(quasi)
+            quasi = polytope.fit_quasipolynomial(counts, k)
+            bound = polytope.lower_bound_poly(quasi)
         except FitError as exc:
             fit_error = str(exc)
     rows = []
     for d in table:
         row = {"d": d, "count": counts[d]}
         if bound is not None:
-            qd = eval_poly(bound, d)
+            qd = polytope.eval_poly(bound, d)
             row["Q"] = str(qd)
             row["count_ge_Q"] = counts[d] >= qd
         rows.append(row)
@@ -289,23 +278,21 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    from .oracle.gl11 import MAX_DEPTH
-
-    if not 0 <= args.depth <= MAX_DEPTH:
-        raise argparse.ArgumentTypeError(f"--depth must lie in 0..{MAX_DEPTH}")
+    if not 0 <= args.depth <= gl11.MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"--depth must lie in 0..{gl11.MAX_DEPTH}")
     if args.kl_window is not None and args.kl_window < 0:
         raise argparse.ArgumentTypeError(f"--kl-window must not be negative, got {args.kl_window}")
     # the KL table pairs lam = -W with mu = W, and kl_poly_gl11 refuses a
     # separation beyond MAX_DEPTH; refuse it here, before the resolution runs
-    if args.kl_window is not None and 2 * args.kl_window > MAX_DEPTH:
+    if args.kl_window is not None and 2 * args.kl_window > gl11.MAX_DEPTH:
         raise ResourceLimitError(
             f"--kl-window {args.kl_window} needs pair separation {2 * args.kl_window}, "
-            f"beyond resolution depth {MAX_DEPTH}"
+            f"beyond resolution depth {gl11.MAX_DEPTH}"
         )
     lam = args.weight
-    trace = gl11_minimal_resolution(args.target, lam, args.depth)
-    fit = measured_growth(trace, "dimP")
-    zfit = measured_growth(trace, "unit")
+    trace = gl11.gl11_minimal_resolution(args.target, lam, args.depth)
+    fit = gl11.measured_growth(trace, "dimP")
+    zfit = gl11.measured_growth(trace, "unit")
     w = Weight(SuperParams(1, 1), (lam, -lam))
     kind = ModuleKind.KAC if args.target == "kac" else ModuleKind.SIMPLE
     report = variety_dims(kind, w)
@@ -327,7 +314,7 @@ def cmd_resolve(args) -> int:
         win = args.kl_window
         for a in range(-win, win + 1):
             for b in range(-win, win + 1):
-                poly = kl_poly_gl11(a, b)
+                poly = gl11.kl_poly_gl11(a, b)
                 table.append(
                     {
                         "lam": a,

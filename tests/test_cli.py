@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsuper.cli
+from glsuper import polytope
 from glsuper.cli import main
 from glsuper.dimensions import cauchy_symmetric_decomposition
 from glsuper.errors import InternalCheckError, ResourceLimitError
+from glsuper.oracle import gl11, modules
 from glsuper.oracle.gl11 import gl11_minimal_resolution, kl_poly_gl11
 from glsuper.oracle.gt import gl_simple, gt_patterns
 from glsuper.polytope import count_lattice_points, enumerate_lattice_points
@@ -44,6 +46,23 @@ def test_classify_non_dominant_exits_2(capsys):
 def test_classify_malformed_weight_exits_64(capsys):
     code, _, err = run(capsys, "classify", "--m", "2", "--n", "1", "--weight", "zzz")
     assert code == 64
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("text", ["0,0", "0,0,0,0", "0,0,x"])
+def test_bad_weight_is_a_usage_error(capsys, tmp_path, command, text):
+    # a weight of the wrong length is as much a usage error as a malformed
+    # one, from --weight or from a --weights-file line, which is named
+    extra = ["--kind", "kac"] if command == "invariants" else []
+    message = f"malformed weight {text!r}: expected 3 comma-separated integers\n"
+    code, out, err = run(capsys, command, "--m", "2", "--n", "1", "--weight", text, *extra)
+    assert code == 64 and out == ""
+    assert err == f"glsuper: {message}"
+    manifest = tmp_path / "weights.txt"
+    manifest.write_text(f"0,0,0\n\n{text}\n")
+    code, out, err = run(capsys, command, "--m", "2", "--n", "1", "--weights-file", str(manifest), *extra)
+    assert code == 64 and out == ""
+    assert err == f"glsuper: {manifest}:3: {message}"
 
 
 def test_usage_error_exit_code():
@@ -175,8 +194,8 @@ def test_invariants_verify_agreement(capsys):
 def test_invariants_verify_total_cost_guard(capsys, monkeypatch, tmp_path):
     # two gl(4|3) K(0), each admitted alone (1,404,928 predicted steps), are
     # refused together before either module is built
-    monkeypatch.setattr(glsuper.cli, "kac_module", _refuse)
-    monkeypatch.setattr(glsuper.cli, "dual_kac_module", _refuse)
+    monkeypatch.setattr(modules, "kac_module", _refuse)
+    monkeypatch.setattr(modules, "dual_kac_module", _refuse)
     manifest = tmp_path / "twice.txt"
     manifest.write_text("0,0,0,0,0,0,0\n" * 2)
     for kind in ("kac", "dualkac"):
@@ -186,7 +205,7 @@ def test_invariants_verify_total_cost_guard(capsys, monkeypatch, tmp_path):
         )
         assert code == 2 and out == ""
         assert "would build 2 modules at a predicted total cost of 2809856" in err
-        assert f"KAC_MAX_COST = {glsuper.cli.KAC_MAX_COST}" in err
+        assert f"KAC_MAX_COST = {modules.KAC_MAX_COST}" in err
 
 
 def test_invariants_verify_total_cost_skips_refused_modules(capsys):
@@ -206,7 +225,7 @@ def test_internal_check_failure_exits_70(capsys, monkeypatch):
     def broken(_w):
         raise InternalCheckError("bracket relation fails for (1, 2), (2, 1)")
 
-    monkeypatch.setattr(glsuper.cli, "kac_module", broken)
+    monkeypatch.setattr(modules, "kac_module", broken)
     code, _, err = run(
         capsys, "invariants", "--m", "2", "--n", "1", "--kind", "kac", "--weight", "0,0,0", "--verify"
     )
@@ -276,7 +295,7 @@ def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):
     def counting(*_args):
         raise AssertionError("counted before the cost guard")
 
-    monkeypatch.setattr(glsuper.cli, "count_lattice_points", counting)
+    monkeypatch.setattr(polytope, "count_lattice_points", counting)
     code, out, err = run(capsys, "ehrhart", "--k", "3", "--dmax", "200")
     assert code == 2 and out == ""
     assert "predicts 64802666 steps, over the bound 10000000" in err
@@ -318,7 +337,7 @@ def test_resolve_kl_window_guard_fires_before_resolving(capsys, monkeypatch):
     def resolving(*_args):
         raise AssertionError("resolved before the kl-window guard")
 
-    monkeypatch.setattr(glsuper.cli, "gl11_minimal_resolution", resolving)
+    monkeypatch.setattr(gl11, "gl11_minimal_resolution", resolving)
     code, out, err = run(
         capsys, "resolve", "--target", "simple", "--depth", "25", "--kl-window", "13"
     )
@@ -327,8 +346,8 @@ def test_resolve_kl_window_guard_fires_before_resolving(capsys, monkeypatch):
 
 
 def test_negative_kl_window_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(glsuper.cli, "gl11_minimal_resolution", _refuse)
-    monkeypatch.setattr(glsuper.cli, "kl_poly_gl11", _refuse)
+    monkeypatch.setattr(gl11, "gl11_minimal_resolution", _refuse)
+    monkeypatch.setattr(gl11, "kl_poly_gl11", _refuse)
     code, out, err = run(
         capsys, "resolve", "--target", "simple", "--depth", "3", "--kl-window", "-2"
     )

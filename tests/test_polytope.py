@@ -339,13 +339,16 @@ def test_quasipolynomial_rejects_mismatched_constituents():
 
 
 def test_quasipolynomial_rejected_under_optimize():
-    # the gates raise instead of asserting, so python -O keeps them
+    # the gates raise instead of asserting, so python -O keeps them; the first
+    # use of glsuper.polytope after the CLI import runs its body under -O too
     script = (
         "from fractions import Fraction\n"
+        "import glsuper.cli\n"
         "from glsuper.errors import InternalCheckError\n"
-        "from glsuper.polytope import QuasiPolynomial\n"
         "try:\n"
-        "    QuasiPolynomial(2, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))))\n"
+        "    glsuper.polytope.QuasiPolynomial(\n"
+        "        2, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))\n"
+        "    )\n"
         "except InternalCheckError as exc:\n"
         "    print('rejected:', exc)\n"
     )
