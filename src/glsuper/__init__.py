@@ -43,20 +43,18 @@ __version__ = "0.1.0"
 
 # polytope and suzhang (and ratlinalg, which polytope imports) run on first use
 _lazy.register(__name__, ("ratlinalg", "polytope", "suzhang"))
-__getattr__ = _lazy.exports(
-    __name__,
-    {
-        "polytope": (
-            "QuasiPolynomial", "RationalPolytope", "build_polytope", "count_lattice_points",
-            "enumerate_lattice_points", "fit_quasipolynomial", "interior_witness",
-            "k1_degenerate_point", "lower_bound_poly",
-        ),
-        "suzhang": (
-            "WeightPairSet", "ZetaInput", "block_B_descriptor", "build_S", "check_pair_conditions",
-            "mu_a", "nu", "phi_k1", "phi_on_zeta", "zeta",
-        ),
-    },
-)
+_LAZY_NAMES = {
+    "polytope": (
+        "QuasiPolynomial", "RationalPolytope", "build_polytope", "count_lattice_points",
+        "enumerate_lattice_points", "fit_quasipolynomial", "interior_witness",
+        "k1_degenerate_point", "lower_bound_poly",
+    ),
+    "suzhang": (
+        "WeightPairSet", "ZetaInput", "block_B_descriptor", "build_S", "check_pair_conditions",
+        "mu_a", "nu", "phi_k1", "phi_on_zeta", "zeta",
+    ),
+}
+__getattr__ = _lazy.exports(__name__, _LAZY_NAMES)
 
 # what ``from glsuper import *`` binds: the submodules and every name above
 __all__ = [
@@ -69,11 +67,7 @@ __all__ = [
     "projective_dim_bounds", "weyl_dim_g0",
     "InvariantReport", "ModuleKind", "complexity", "rank_orbit_closure_dim", "variety_dims",
     "z_invariant",
-    "QuasiPolynomial", "RationalPolytope", "build_polytope", "count_lattice_points",
-    "enumerate_lattice_points", "fit_quasipolynomial", "interior_witness",
-    "k1_degenerate_point", "lower_bound_poly",
-    "WeightPairSet", "ZetaInput", "block_B_descriptor", "build_S", "check_pair_conditions",
-    "mu_a", "nu", "phi_k1", "phi_on_zeta", "zeta",
+    *(name for names in _LAZY_NAMES.values() for name in names),
 ]
 
 

@@ -6,8 +6,10 @@ weight by one and y = E21 lowers it by one.  A resolution step computes the
 head of the current kernel (the cokernel of the odd action), covers each
 head vector by one projective, and takes the kernel of the cover with the
 induced x and y on it.  Every step works one weight space at a time, so it
-only ever eliminates the few columns of a single weight.  Minimality is
-structural: each projective covers exactly one head vector.
+only ever eliminates the few columns of a single weight, with the one
+elimination of ratlinalg: `sparse_pivots` for heads, `sparse_relations` for
+kernels.  Minimality is structural: each projective covers exactly one head
+vector.
 
 The block is translation invariant, so one resolution of K(0) serves every
 Kazhdan-Lusztig polynomial: K(lam) resolves as K(0) shifted by lam.
@@ -18,10 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
-from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_pivots, sparse_rank
+from ..ratlinalg import SparseCols, sparse_mul, sparse_pivots, sparse_rank, sparse_relations
 from ..weights import SuperParams
 from .modules import MatrixModule
 
@@ -136,33 +137,6 @@ def _cover(x: SparseCols, y: SparseCols, reps: list[tuple[int, int]]) -> SparseC
     return cols
 
 
-def _relations(cols: SparseCols, indices: list[int]) -> tuple[int, dict[int, dict]]:
-    """Rank of the columns cols[j], j in indices, and the relation of each dependent j.
-
-    Each column is reduced against the earlier pivot columns, keyed by their
-    lowest row, while carrying the combination of columns used.  A column
-    that reduces to zero gives the relation 1 at itself minus its
-    coordinates on the earlier pivot columns: the kernel vector of the
-    reduced row echelon form for that free column.
-    """
-    pivots: dict[int, SparseCols] = {}
-    relations: dict[int, dict] = {}
-    for j in indices:
-        # the reduced column, and the combination of columns it equals
-        pair = [cols[j], {j: 1}]
-        while pair[0]:
-            low = min(pair[0])
-            if low not in pivots:
-                pivots[low] = pair
-                break
-            pivot = pivots[low]
-            factor = Fraction(pair[0][low]) / pivot[0][low]
-            pair = sparse_add_scaled([(pair, 1), (pivot, -factor)], 2)
-        else:
-            relations[j] = {i: exact(v) for i, v in pair[1].items()}
-    return len(pivots), relations
-
-
 def _kernel(
     phi: SparseCols, p_weights: list[int], blocks: dict[int, list[int]]
 ) -> tuple[SparseCols, list[int], dict[int, int]]:
@@ -178,12 +152,12 @@ def _kernel(
     coordinate: dict[int, int] = {}
     for w in sorted(p_blocks.keys() | blocks.keys()):
         cols = p_blocks.get(w, [])
-        rank, relations = _relations(phi, cols)
+        rank, relations = sparse_relations([phi[j] for j in cols])
         if rank != len(blocks.get(w, ())):
             raise InternalCheckError(f"projective cover fails to surject onto weight {w}")
         for free, vec in relations.items():
-            coordinate[free] = len(embed)
-            embed.append(vec)
+            coordinate[cols[free]] = len(embed)
+            embed.append({cols[j]: v for j, v in vec.items()})
             kernel_weights.append(w)
     return embed, kernel_weights, coordinate
 
@@ -245,7 +219,7 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
         prev_boundary = boundary
 
         embed, weights, coordinate = _kernel(phi, p_weights, blocks)
-        # the rank comes from an independent, fraction-free elimination
+        # the rank of all of phi at once checks the split into weight spaces
         if len(embed) != len(p_weights) - sparse_rank(phi):
             raise InternalCheckError("kernel dimension mismatch")
         x = _induced("x", _tile(_X_COLS, len(reps)), embed, coordinate)

@@ -33,19 +33,18 @@ from .errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from .ratlinalg import rref
+from .ratlinalg import sparse_relations
 
 ENUM_MAX_K = 3
 ENUM_MAX_D = 200
-# Counting k=3 at d = 1..136 (9.4 million predicted steps) takes 4.8-5.1 s
-# (11-12 s with the loop kernel) on 2 CPUs with Python 3.11, well under a 60 s
-# limit on a host running at half that speed.
-COUNT_MAX_STEPS = 10_000_000
-# The kernel that looped over the last b made about d^(2k-2) / _STEP_DIVISOR[k]
-# closed-form steps: d^2/17.7 to d^2/21.2 (k=2), d^4/843 to d^4/1371 (k=3) for
-# d = 50..200.  Summing that coordinate in closed form leaves about d/2 (k=2)
-# and d^3/136 (k=3) _clipped_sum calls, so the prediction now over-estimates.
-_STEP_DIVISOR = {2: 16, 3: 1000}
+# count_lattice_points(k, d) makes about d^(2k-3) / _CALL_DIVISOR[k] _clipped_sum
+# calls: d/3.0 to d/3.4 (k=2) and d^3/102 to d^3/148 (k=3) for d = 50..200, and
+# summed over d = 1..D, D >= 30, the prediction is 8% under to 13% over the count.
+# A step is one call.  Counting k=3 at d = 1..128 (592,709 predicted steps) takes
+# about 4.9 s on 2 CPUs with Python 3.11, a sixth of a 60 s limit on a host
+# running at half that speed.
+COUNT_MAX_STEPS = 600_000
+_CALL_DIVISOR = {2: 3, 3: 115}
 
 LinearCondition = tuple[tuple[Fraction, ...], Fraction]
 
@@ -261,11 +260,11 @@ def check_count_cost(k: int, ds: Iterable[int]) -> None:
     """Reject counting k at the dilations ds before any work if it would cost too much.
 
     Raises what count_lattice_points raises for k, and ResourceLimitError when
-    the predicted number of closed-form steps exceeds COUNT_MAX_STEPS.
+    the predicted number of _clipped_sum calls exceeds COUNT_MAX_STEPS.
     """
     _check_count_k(k)
     ds = list(ds)
-    steps = sum(d ** (2 * k - 2) for d in ds) // _STEP_DIVISOR[k]
+    steps = sum(d ** (2 * k - 3) for d in ds) // _CALL_DIVISOR[k]
     if steps > COUNT_MAX_STEPS:
         raise ResourceLimitError(
             f"counting k={k} at {len(ds)} dilations up to d={max(ds)} predicts "
@@ -330,20 +329,21 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact vertex set of the d=1 polytope, by facet-subset enumeration.
 
     The equalities and each subset of inequalities made tight, dim rows in
-    all, form one augmented system [coeffs | rhs].  It has a unique solution
-    exactly when its echelon form has a pivot in every coefficient column,
-    and the solution is then its last column.
+    all, form one system A x = b.  It has a unique solution exactly when the
+    columns of A and then b have rank dim with b dependent, and the solution
+    is then minus the relation of b: b = sum x_c A_c.
     """
     poly = _system(k)
     dim = poly.dim_ambient
-    eq_rows = [list(c) + [r] for c, r in poly.equalities]
-    ineq_rows = [list(c) + [r] for c, r in poly.inequalities]
     found = set()
-    for subset in itertools.combinations(range(len(ineq_rows)), dim - len(eq_rows)):
-        reduced, pivots = rref(eq_rows + [ineq_rows[i] for i in subset])
-        if len(pivots) < dim or dim in pivots:
+    for subset in itertools.combinations(poly.inequalities, dim - len(poly.equalities)):
+        rows = [(*coeffs, rhs) for coeffs, rhs in poly.equalities + subset]
+        # the columns of A, then b
+        cols = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(dim + 1)]
+        rank, relations = sparse_relations(cols)
+        if rank < dim or dim not in relations:
             continue
-        point = tuple(row[dim] for row in reduced)
+        point = tuple(-Fraction(relations[dim].get(c, 0)) for c in range(dim))
         if poly.satisfies(point):
             found.add(point)
     return tuple(sorted(found))

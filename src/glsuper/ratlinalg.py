@@ -1,11 +1,12 @@
 """Small exact linear algebra kernel.
 
-Module actions use the sparse column layout below, with integer entries
-wherever they are integral: sparse products, and ranks and pivot columns by
-fraction-free elimination.  The only dense routine is `rref`, over
-Fraction, for the small vertex solves of the lattice polytope.  `zeros`
-and `mat_mul` have no caller in the package; they stay because
-`perfbench/tracer.py` patches `mat_mul` by name.
+Matrices use the sparse column layout below, with integer entries wherever
+they are integral: sparse products, and one fraction-free elimination,
+`sparse_pivots`, for ranks, pivot columns and the relations among columns
+(kernels and solves).  The dense `rref`, `zeros` and `mat_mul` have no
+caller in the package (tests/test_lint.py keeps it so); they stay for the
+tests' dense oracle, tests/dense_linalg.py, and because
+`perfbench/tracer.py` patches `rref` and `mat_mul` by name.
 """
 
 from __future__ import annotations
@@ -141,3 +142,28 @@ def sparse_pivots(cols: SparseCols) -> dict[int, dict[int, int]]:
 
 def sparse_rank(cols: SparseCols) -> int:
     return len(sparse_pivots(cols))
+
+
+def sparse_relations(cols: SparseCols) -> tuple[int, dict[int, dict[int, int | Fraction]]]:
+    """Rank of the columns, and the relation of each column j dependent on earlier ones.
+
+    With top the largest row index in use, column j gets one tag entry 1 at
+    row top + len(cols) - j, and sparse_pivots runs on the tagged columns.  A pivot keyed at
+    a real row counts towards the rank.  A dependent column reduces to a
+    combination of its own tag and the tags of earlier pivot columns, so it
+    is keyed at its own tag; scaled to 1 there it is the relation 1 at j
+    minus the coordinates of column j on the earlier pivot columns: the
+    kernel vector of the reduced row echelon form for the free column j.
+    """
+    top = max(map(max, filter(None, cols)), default=-1)
+    end = top + len(cols)
+    pivots = sparse_pivots([{**col, end - j: 1} for j, col in enumerate(cols)])
+    relations: dict[int, dict[int, int | Fraction]] = {}
+    for low, vec in pivots.items():
+        if low > top:
+            # v / p as exact() gives it, without building a Fraction for an int
+            p = vec[low]
+            relations[end - low] = {
+                end - i: v // p if v % p == 0 else Fraction(v, p) for i, v in vec.items()
+            }
+    return len(pivots) - len(relations), relations

@@ -1,12 +1,16 @@
-"""Slow oracle for glsuper.polytope: the count-only lattice kernel that loops
-over every b coordinate, the last one included.  It is the package's earlier
-implementation, kept unchanged as the reference for the kernel that sums the
-last b coordinate in closed form."""
+"""Slow oracles for glsuper.polytope, the package's earlier implementations kept
+unchanged as references: the count-only lattice kernel that loops over every b
+coordinate, the last one included (now summed in closed form), and the vertex
+solve by dense row reduction of [coeffs | rhs] (now a sparse column relation)."""
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 from glsuper.errors import DomainError, ResourceLimitError
-from glsuper.polytope import ENUM_MAX_D, _check_count_k
+from glsuper.polytope import ENUM_MAX_D, _check_count_k, _system
+from glsuper.ratlinalg import rref
 
 
 def count_lattice_points(k: int, d: int) -> int:
@@ -54,3 +58,26 @@ def count_lattice_points(k: int, d: int) -> int:
         return found
 
     return walk_b(0, 0)
+
+
+def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact vertex set of the d=1 polytope, by facet-subset enumeration.
+
+    The equalities and each subset of inequalities made tight, dim rows in
+    all, form one augmented system [coeffs | rhs].  It has a unique solution
+    exactly when its echelon form has a pivot in every coefficient column,
+    and the solution is then its last column.
+    """
+    poly = _system(k)
+    dim = poly.dim_ambient
+    eq_rows = [list(c) + [r] for c, r in poly.equalities]
+    ineq_rows = [list(c) + [r] for c, r in poly.inequalities]
+    found = set()
+    for subset in itertools.combinations(range(len(ineq_rows)), dim - len(eq_rows)):
+        reduced, pivots = rref(eq_rows + [ineq_rows[i] for i in subset])
+        if len(pivots) < dim or dim in pivots:
+            continue
+        point = tuple(row[dim] for row in reduced)
+        if poly.satisfies(point):
+            found.add(point)
+    return tuple(sorted(found))

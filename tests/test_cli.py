@@ -298,7 +298,7 @@ def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):
     monkeypatch.setattr(polytope, "count_lattice_points", counting)
     code, out, err = run(capsys, "ehrhart", "--k", "3", "--dmax", "200")
     assert code == 2 and out == ""
-    assert "predicts 64802666 steps, over the bound 10000000" in err
+    assert "predicts 3513130 steps, over the bound 600000" in err
 
 
 def test_ehrhart_csv_deterministic(capsys):

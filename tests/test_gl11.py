@@ -229,18 +229,18 @@ def test_resolution_step_size_does_not_grow(monkeypatch):
         rows = set().union(*cols)
         largest[0] = max(largest[0], len(cols) * len(rows))
 
-    real_pivots, real_relations = gl11.sparse_pivots, gl11._relations
+    real_pivots, real_relations = gl11.sparse_pivots, gl11.sparse_relations
 
     def pivots(cols):
         record(cols)
         return real_pivots(cols)
 
-    def relations(cols, indices):
-        record([cols[j] for j in indices])
-        return real_relations(cols, indices)
+    def relations(cols):
+        record(cols)
+        return real_relations(cols)
 
     monkeypatch.setattr(gl11, "sparse_pivots", pivots)
-    monkeypatch.setattr(gl11, "_relations", relations)
+    monkeypatch.setattr(gl11, "sparse_relations", relations)
     sizes = {}
     for depth in (10, 25):
         largest[0] = 0

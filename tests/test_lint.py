@@ -19,6 +19,29 @@ def test_no_assert_statements_in_source():
     assert not found, f"assert statements in source: {found}"
 
 
+DENSE = {"rref", "zeros", "mat_mul"}
+
+
+def test_dense_routines_stay_out_of_the_package():
+    # every elimination in the package runs on ratlinalg.sparse_pivots; the
+    # dense routines stay only for tests/dense_linalg.py and perfbench/tracer.py
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        if path == SOURCE / "ratlinalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rpartition(".")[2] for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [f"{path.relative_to(SOURCE.parent)}:{node.lineno} {n}" for n in names & DENSE]
+    assert not found, f"dense routines used outside ratlinalg: {found}"
+
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 

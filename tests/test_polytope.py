@@ -194,7 +194,7 @@ def test_count_guards():
         count_lattice_points(4, 5)
     check_count_cost(2, range(1, 201))
     check_count_cost(3, range(1, 101))
-    over = f"predicts 64802666 steps, over the bound {COUNT_MAX_STEPS}"
+    over = f"predicts 3513130 steps, over the bound {COUNT_MAX_STEPS}"
     with pytest.raises(ResourceLimitError, match=over):
         check_count_cost(3, range(1, 201))
     with pytest.raises(DegenerateCaseError):
@@ -242,6 +242,17 @@ def _vertices_by_rank_and_solve(k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_vertices_match_dense_rank_and_solve(k):
     assert vertices(k) == _vertices_by_rank_and_solve(k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_vertices_match_dense_rref_oracle(k):
+    # the sparse relation solve gives the earlier dense rref solve's vertices,
+    # every coordinate a Fraction
+    def typed(verts):
+        return [[(type(c), c) for c in v] for v in verts]
+
+    assert typed(vertices(k)) == typed(slow_polytope.vertices(k))
+    assert all(type(c) is Fraction for v in vertices(k) for c in v)
 
 
 _interpolation_cases = st.lists(st.integers(-60, 200), min_size=1, max_size=7, unique=True).flatmap(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_linalg import mat_vec, nullspace, rank, solve, to_dense
-from glsuper.ratlinalg import exact, mat_mul, rref, sparse_mul, sparse_pivots, sparse_rank
+from glsuper.ratlinalg import (
+    exact, mat_mul, rref, sparse_mul, sparse_pivots, sparse_rank, sparse_relations,
+)
 
 
 def random_matrix(rng, rows, cols, density=0.7):
@@ -115,3 +117,46 @@ def test_sparse_rank_zero_and_repeated_columns():
     assert sparse_rank([{}, {}, {}]) == 0
     col = {0: Fraction(1, 2), 3: Fraction(-2, 3)}
     assert sparse_rank([col, {}, dict(col), {i: 6 * v for i, v in col.items()}]) == 1
+
+
+def _dense_relations(matrix, rows):
+    """{free column: its rref kernel vector}, entries as `exact` makes them."""
+    dense = to_dense(matrix, rows)
+    pivots = set(rref(dense)[1])
+    free = [j for j in range(len(matrix)) if j not in pivots]
+    kernel = ({i: exact(v) for i, v in enumerate(vec) if v} for vec in nullspace(dense))
+    return dict(zip(free, kernel, strict=True))
+
+
+def _typed(relations):
+    return {j: {i: (type(v), v) for i, v in vec.items()} for j, vec in relations.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_relations_match_dense_nullspace(case):
+    rows, matrix = case
+    rank_, relations = sparse_relations(matrix)
+    assert rank_ == rank(to_dense(matrix, rows))
+    assert _typed(relations) == _typed(_dense_relations(matrix, rows))
+    for j, vec in relations.items():
+        # a relation combines column j with earlier columns only, and vanishes
+        assert max(vec) == j and vec[j] == 1
+        assert sparse_mul(matrix, [vec]) == [{}]
+
+
+def test_sparse_relations_explicit_cases():
+    assert sparse_relations([]) == (0, {})
+    # zero columns are each their own relation
+    assert sparse_relations([{}, {}]) == (0, {0: {0: 1}, 1: {1: 1}})
+    # every column after the first is a multiple of it
+    col = {0: Fraction(1, 2), 3: Fraction(-2, 3)}
+    rank_, relations = sparse_relations([col, {i: 6 * v for i, v in col.items()}, dict(col)])
+    assert rank_ == 1 and relations == {1: {0: -6, 1: 1}, 2: {0: -1, 2: 1}}
+    assert all(type(v) is int for vec in relations.values() for v in vec.values())
+    # Fraction coordinates: (1, 1) = 1/2 (2, 0) + 1/3 (0, 3)
+    cols = [{0: 2}, {1: 3}, {0: 1, 1: 1}]
+    assert sparse_relations(cols) == (2, {2: {0: Fraction(-1, 2), 1: Fraction(-1, 3), 2: 1}})
+    _, relations = sparse_relations([{0: Fraction(2, 3)}, {0: Fraction(1, 3)}])
+    assert relations == {1: {0: Fraction(-1, 2), 1: 1}}
+    assert type(relations[1][0]) is Fraction and type(relations[1][1]) is int
