@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import polytope
-from .dimensions import projective_dim_bounds
+from .dimensions import check_weyl_work, projective_dim_bounds, weyl_work
 from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
 from .oracle import gl11, modules
@@ -36,6 +36,8 @@ EXIT_INTERNAL = 70
 # classify of 100,000 sampled gl(4|3) weights takes about 16 s and 0.6 GB
 # peak RSS on 2 CPUs, inside a 60-s, 2-GiB budget even on a host twice slower
 SAMPLE_MAX = 100_000
+# sampled weights have entries in -SAMPLE_BOUND..SAMPLE_BOUND
+SAMPLE_BOUND = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +60,9 @@ def _parse_weight(params: SuperParams, text: str, where: str = "") -> Weight:
     return Weight(params, coeffs)
 
 
-def _gather_weights(params: SuperParams, args) -> list[Weight]:
+def _gather_weights(params: SuperParams, args, weyl: bool = False) -> list[Weight]:
+    """The weights to report on; with weyl, the Weyl formulas they will run
+    are guarded before any weight is sampled."""
     if args.sample < 0:
         raise argparse.ArgumentTypeError(f"--sample must not be negative, got {args.sample}")
     if args.sample > SAMPLE_MAX:
@@ -78,26 +82,32 @@ def _gather_weights(params: SuperParams, args) -> list[Weight]:
             raise argparse.ArgumentTypeError(f"cannot read --weights-file {path}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise argparse.ArgumentTypeError(f"--weights-file {path} is not UTF-8: {exc.reason}") from exc
+    if weyl:
+        # no sampled weight spreads wider than this one on either side
+        widest = Weight(params, tuple(
+            SAMPLE_BOUND if i in (0, params.m) else -SAMPLE_BOUND for i in range(params.rank)
+        ))
+        check_weyl_work(sum(map(weyl_work, weights)) + args.sample * weyl_work(widest))
     if args.sample:
         rng = random.Random(args.seed)
+        lo, hi = -SAMPLE_BOUND, SAMPLE_BOUND
         for _ in range(args.sample):
-            left = sorted((rng.randint(-6, 6) for _ in range(params.m)), reverse=True)
-            right = sorted((rng.randint(-6, 6) for _ in range(params.n)), reverse=True)
+            left = sorted((rng.randint(lo, hi) for _ in range(params.m)), reverse=True)
+            right = sorted((rng.randint(lo, hi) for _ in range(params.n)), reverse=True)
             weights.append(Weight(params, tuple(left + right)))
     if not weights:
         raise DomainError("no weights given; use --weight, --weights-file, or --sample")
     return weights
 
 
-def _emit(payload, args) -> None:
+def _emit(payload, args) -> str:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = payload if isinstance(payload, list) else [payload]
-        keys = sorted({k for row in rows for k in row})
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(_csv_cell(row.get(k)) for k in keys))
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = payload if isinstance(payload, list) else [payload]
+    keys = sorted({k for row in rows for k in row})
+    lines = [",".join(keys)]
+    lines += [",".join(_csv_cell(row.get(k)) for k in keys) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -124,11 +134,10 @@ def _classify_one(w: Weight) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     params = SuperParams(args.m, args.n)
-    reports = [_classify_one(w) for w in _gather_weights(params, args)]
-    _emit(reports if len(reports) > 1 else reports[0], args)
-    return EXIT_OK
+    reports = [_classify_one(w) for w in _gather_weights(params, args, weyl=True)]
+    return _emit(reports if len(reports) > 1 else reports[0], args)
 
 
 def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
@@ -193,10 +202,12 @@ def _check_verify_cost(kind: ModuleKind, weights: list[Weight]) -> None:
         )
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> str:
     params = SuperParams(args.m, args.n)
     kind = ModuleKind(args.kind)
-    weights = _gather_weights(params, args)
+    # --verify builds (dual) Kac modules, and kac_cost runs the Weyl formula
+    kac = kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC)
+    weights = _gather_weights(params, args, weyl=args.verify and kac)
     if args.verify:
         _check_verify_cost(kind, weights)
     out = []
@@ -208,16 +219,13 @@ def cmd_invariants(args) -> int:
         if args.verify:
             entry["checks"] = _verify_report(kind, w, report)
         out.append(entry)
-    _emit(out if len(out) > 1 else out[0], args)
-    return EXIT_OK
+    return _emit(out if len(out) > 1 else out[0], args)
 
 
-def cmd_ehrhart(args) -> int:
+def cmd_ehrhart(args) -> str:
     k = args.k
     if k == 1:
-        payload = {"k": 1, "degenerate_point": list(polytope.k1_degenerate_point())}
-        _emit(payload, args)
-        return EXIT_OK
+        return _emit({"k": 1, "degenerate_point": list(polytope.k1_degenerate_point())}, args)
     dmin, dmax = args.dmin, args.dmax
     if dmin < 1 or dmax < dmin:
         raise DomainError("need 1 <= dmin <= dmax")
@@ -259,12 +267,13 @@ def cmd_ehrhart(args) -> int:
             row["count_ge_Q"] = counts[d] >= qd
         rows.append(row)
     if args.format == "csv":
-        print("d,count,Q,count_ge_Q")
-        for row in rows:
-            print(f"{row['d']},{row['count']},{row.get('Q', '')},{row.get('count_ge_Q', '')}")
+        lines = ["d,count,Q,count_ge_Q"]
+        lines += [
+            f"{row['d']},{row['count']},{row.get('Q', '')},{row.get('count_ge_Q', '')}" for row in rows
+        ]
         if truncated:
-            print(f"WARNING,{truncated},,")
-        return EXIT_OK
+            lines.append(f"WARNING,{truncated},,")
+        return "\n".join(lines) + "\n"
     payload = {
         "k": k,
         "rows": rows,
@@ -273,11 +282,10 @@ def cmd_ehrhart(args) -> int:
         "fit_error": fit_error,
         "warning": truncated,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+    return _emit(payload, args)
 
 
-def cmd_resolve(args) -> int:
+def cmd_resolve(args) -> str:
     if not 0 <= args.depth <= gl11.MAX_DEPTH:
         raise argparse.ArgumentTypeError(f"--depth must lie in 0..{gl11.MAX_DEPTH}")
     if args.kl_window is not None and args.kl_window < 0:
@@ -324,16 +332,19 @@ def cmd_resolve(args) -> int:
                     }
                 )
         payload["kl_table"] = table
-    if args.format == "csv":
-        print("degree,summands,total_dim")
-        for entry in trace.to_json():
-            summands = ";".join(f"{s['weight']}:{s['multiplicity']}" for s in entry["summands"])
-            print(f"{entry['degree']},{summands},{entry['total_dim']}")
-        print(f"measured_complexity,{fit.rate},formula,{report.complexity}")
-        print(f"measured_z,{zfit.rate},formula,{report.z_invariant}")
-        return EXIT_OK
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+    if args.format == "json":
+        return _emit(payload, args)
+    lines = ["degree,summands,total_dim"]
+    for entry in trace.to_json():
+        summands = ";".join(f"{s['weight']}:{s['multiplicity']}" for s in entry["summands"])
+        lines.append(f"{entry['degree']},{summands},{entry['total_dim']}")
+    lines.append(f"measured_complexity,{fit.rate},formula,{report.complexity}")
+    lines.append(f"measured_z,{zfit.rate},formula,{report.z_invariant}")
+    if args.kl_window is not None:
+        keys = ("lam", "mu", "poly", "constant_term_1")
+        lines.append(",".join(keys))
+        lines += [",".join(_csv_cell(row[k]) for k in keys) for row in payload["kl_table"]]
+    return "\n".join(lines) + "\n"
 
 
 def _add_common(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
@@ -378,20 +389,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout(args) -> str:
+    """The subcommand's whole stdout, built before any of it is printed."""
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # str() of an int longer than the interpreter's limit; a library
+        # error is a ValueError too, and keeps its own message
+        if isinstance(exc, GlsuperError) or "integer string conversion" not in str(exc):
+            raise
+        raise ResourceLimitError(
+            "a number to print has more digits than "
+            f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}"
+        ) from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text = _stdout(args)
     except argparse.ArgumentTypeError as exc:
         print(f"glsuper: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"glsuper: internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DomainError, ResourceLimitError, GlsuperError) as exc:
+    except GlsuperError as exc:
         print(f"glsuper: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -65,26 +65,24 @@ def rank_orbit_closure_dim(params: SuperParams, r: int) -> int:
 
 
 def complexity(kind: ModuleKind, lam: Weight) -> int:
-    k = atypicality(lam).atypicality
-    base = rank_orbit_closure_dim(lam.params, k)
-    return base + k if kind is ModuleKind.SIMPLE else base
+    return variety_dims(kind, lam).complexity
 
 
 def z_invariant(kind: ModuleKind, lam: Weight) -> int:
-    k = atypicality(lam).atypicality
-    return 2 * k if kind is ModuleKind.SIMPLE else k
+    return variety_dims(kind, lam).z_invariant
 
 
 def variety_dims(kind: ModuleKind, lam: Weight) -> InvariantReport:
     k = atypicality(lam).atypicality
     dim_x = rank_orbit_closure_dim(lam.params, k)
     dim_v = k if kind is ModuleKind.SIMPLE else 0
+    z = 2 * k if kind is ModuleKind.SIMPLE else k
     return InvariantReport(
         complexity=dim_x + dim_v,
-        z_invariant=z_invariant(kind, lam),
+        z_invariant=z,
         dim_X=dim_x,
         dim_V_g_g0=dim_v,
-        dim_V_f_f0=z_invariant(kind, lam),
+        dim_V_f_f0=z,
         dim_rank_plus=k if kind in (ModuleKind.KAC, ModuleKind.SIMPLE) else 0,
         dim_rank_minus=k if kind in (ModuleKind.DUAL_KAC, ModuleKind.SIMPLE) else 0,
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
 from ..ratlinalg import SparseCols, sparse_mul, sparse_pivots, sparse_rank, sparse_relations
 from ..weights import SuperParams
-from .modules import MatrixModule
+from . import modules
 
 GL11 = SuperParams(1, 1)
 MAX_DEPTH = 25
@@ -35,33 +35,36 @@ _X_COLS = ({2: 1}, {3: -1}, {}, {})
 _Y_COLS = ({1: 1}, {}, {3: 1}, {})
 _P_WEIGHT_OFFSETS = (0, -1, 1, 0)
 
+# K(lam) and L(lam), which a resolution starts from: weight offsets from lam, x and y columns
+_TARGETS = {"kac": ((0, -1), ({}, {}), ({1: 1}, {})), "simple": ((0,), ({},), ({},))}
+
 
 def _tile(pattern: tuple[dict[int, int], ...], copies: int) -> SparseCols:
     """Block-diagonal sum of copies of a 4 x 4 pattern."""
     return [{4 * s + i: v for i, v in col.items()} for s in range(copies) for col in pattern]
 
 
-def _weight_module(
-    diag: list[int], x: SparseCols, y: SparseCols, parity: tuple[int, ...]
-) -> MatrixModule:
+def _weight_module(lam: int, offsets: tuple[int, ...], x, y) -> modules.MatrixModule:
+    """Basis vectors of weights lam + offsets, odd where the offset is; x and y are copied."""
+    diag = [lam + o for o in offsets]
     e11 = [{i: w} if w else {} for i, w in enumerate(diag)]
     e22 = [{i: -w} if w else {} for i, w in enumerate(diag)]
-    return MatrixModule(GL11, len(diag), {(1, 1): e11, (2, 2): e22, (1, 2): x, (2, 1): y}, parity)
+    actions = {(1, 1): e11, (2, 2): e22, (1, 2): [dict(c) for c in x], (2, 1): [dict(c) for c in y]}
+    return modules.MatrixModule(GL11, len(diag), actions, tuple(o % 2 for o in offsets))
 
 
-def gl11_projective(lam: int) -> MatrixModule:
+def gl11_projective(lam: int) -> modules.MatrixModule:
     """P(lam): four dimensional, head and socle L(lam), middle layer L(lam-1) + L(lam+1)."""
-    weights = [lam + o for o in _P_WEIGHT_OFFSETS]
-    return _weight_module(weights, _tile(_X_COLS, 1), _tile(_Y_COLS, 1), (0, 1, 1, 0))
+    return _weight_module(lam, _P_WEIGHT_OFFSETS, _X_COLS, _Y_COLS)
 
 
-def gl11_kac(lam: int) -> MatrixModule:
+def gl11_kac(lam: int) -> modules.MatrixModule:
     """K(lam): two dimensional with head L(lam) and socle L(lam-1)."""
-    return _weight_module([lam, lam - 1], [{}, {}], [{1: 1}, {}], (0, 1))
+    return _weight_module(lam, *_TARGETS["kac"])
 
 
-def gl11_simple(lam: int) -> MatrixModule:
-    return _weight_module([lam], [{}], [{}], (0,))
+def gl11_simple(lam: int) -> modules.MatrixModule:
+    return _weight_module(lam, *_TARGETS["simple"])
 
 
 @dataclass(frozen=True)
@@ -183,16 +186,10 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
         raise ResourceLimitError(f"depth {depth} exceeds MAX_DEPTH = {MAX_DEPTH}")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    if kind == "kac":
-        target = gl11_kac(lam)
-    elif kind == "simple":
-        target = gl11_simple(lam)
-    else:
+    if kind not in _TARGETS:
         raise DomainError(f"unknown resolution target {kind!r}")
-
-    weights = [entry[0] for entry in target.weight_diagonal()]
-    x = target.action(1, 2)
-    y = target.action(2, 1)
+    offsets, x, y = _TARGETS[kind]
+    weights = [lam + o for o in offsets]
 
     degrees: list[dict[int, int]] = []
     prev_embed: SparseCols | None = None

@@ -156,15 +156,6 @@ def _l_value(row: tuple[int, ...], i: int) -> int:
     return row[i - 1] - i + 1
 
 
-def _replace_row(pattern: GTPattern, k: int, new_row: tuple[int, ...]) -> GTPattern | None:
-    rows = list(pattern.rows)
-    rows[len(rows) - k] = new_row
-    try:
-        return GTPattern(tuple(rows))
-    except DomainError:
-        return None
-
-
 def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     """Simple gl(r) module on GT patterns; raises ResourceLimitError above desk scale."""
     hw = tuple(int(c) for c in highest_weight)
@@ -176,7 +167,9 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     patterns = gt_patterns(hw)
     if len(patterns) != dim:
         raise InternalCheckError(f"{len(patterns)} patterns for Weyl dimension {dim}")
-    index = {p: i for i, p in enumerate(patterns)}
+    # the patterns over hw are exactly the interlacing ones, and a bump leaves the
+    # top row alone, so a bumped pattern is one exactly when its rows are a key here
+    index = {p.rows: i for i, p in enumerate(patterns)}
     actions: dict[Unit, SparseCols] = {}
 
     for k in range(1, r + 1):
@@ -193,6 +186,7 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
         lower_cols: SparseCols = [dict() for _ in range(dim)]
         for col, p in enumerate(patterns):
             row_k = p.row_of_length(k)
+            above, below = p.rows[: r - k], p.rows[r - k + 1:]
             row_down = p.row_of_length(k - 1) if k > 1 else ()
             # E_{k,k+1} bumps entry i up against the row above, E_{k+1,k} down against the row below
             bumps = ((1, p.row_of_length(k + 1), raise_cols, -1), (-1, row_down, lower_cols, 1))
@@ -200,11 +194,12 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
                 li = _l_value(row_k, i)
                 denom = math.prod(li - _l_value(row_k, j) for j in range(1, k + 1) if j != i)
                 for step, other, cols, sign in bumps:
-                    target = _replace_row(p, k, row_k[: i - 1] + (row_k[i - 1] + step,) + row_k[i:])
+                    bumped = row_k[: i - 1] + (row_k[i - 1] + step,) + row_k[i:]
+                    target = index.get(above + (bumped,) + below)
                     if target is not None:
                         numer = math.prod(li - _l_value(other, j) for j in range(1, len(other) + 1))
                         if numer:
-                            cols[col][index[target]] = exact(Fraction(sign * numer, denom))
+                            cols[col][target] = exact(Fraction(sign * numer, denom))
         actions[(k, k + 1)] = raise_cols
         actions[(k + 1, k)] = lower_cols
 

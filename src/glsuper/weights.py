@@ -230,11 +230,10 @@ def atypicality(lam: Weight) -> BlockDescriptor:
     exhaustive cross-check lives in ``atypicality_exhaustive``.
     """
     require_dominant(lam)
-    params = lam.params
-    m = params.m
-    shifted = lam + rho(params)
-    left_raw = shifted.coeffs[:m]
-    right_raw = shifted.coeffs[m:]
+    m = lam.params.m
+    # lam + rho, with rho = (m, ..., 1, -1, ..., -n)
+    left_raw = [c + m - i for i, c in enumerate(lam.coeffs[:m])]
+    right_raw = [c - j for j, c in enumerate(lam.coeffs[m:], 1)]
     # (lam+rho, eps_i - eps_j) = left_raw[i] + right_raw[j-m] for i <= m < j
     right_lookup = {value: pos for pos, value in enumerate(right_raw)}
     omega = []
@@ -288,17 +287,11 @@ def naive_length(lam: Weight) -> int:
 
 
 def length(lam: Weight) -> int:
-    """k(k+1)/2 + sum over omega of (lam^+ + rho_n, alpha)."""
-    require_dominant(lam)
-    params = lam.params
+    """k(k+1)/2 + sum over omega of (lam^+ + rho_n, eps_i - eps_j) = lam_i - (j - m)."""
     desc = atypicality(lam)
     k = desc.atypicality
-    lam_plus = Weight(params, lam.coeffs[: params.m] + (0,) * params.n)
-    shifted = lam_plus + rho_n(params)
-    total = k * (k + 1) // 2
-    for root in desc.omega:
-        total += bilinear_form(shifted, root.to_weight(params))
-    return total
+    m = lam.params.m
+    return k * (k + 1) // 2 + sum(lam.coeffs[r.i - 1] - (r.j - m) for r in desc.omega)
 
 
 def is_principal_block_gl_kk(lam: Weight) -> bool:

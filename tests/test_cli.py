@@ -4,13 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsuper.cli
-from glsuper import polytope
+from glsuper import dimensions, polytope
 from glsuper.cli import main
 from glsuper.dimensions import cauchy_symmetric_decomposition
 from glsuper.errors import InternalCheckError, ResourceLimitError
@@ -114,6 +115,57 @@ def test_classify_sample_guard_fires_before_sampling(capsys, monkeypatch):
     # the bound itself is admitted: sampling starts, and hits the patched generator
     with pytest.raises(_Refused):
         main(["classify", "--m", "4", "--n", "3", "--sample", str(glsuper.cli.SAMPLE_MAX)])
+
+
+HUGE = ",".join(str(10**4000 * (20 - i)) for i in range(20))
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["classify", "--m", "1000", "--n", "1", "--sample", "1"], 159680160000000),
+        (["classify", "--m", "20", "--n", "1", f"--weight={HUGE},0"], 6378049230400),
+        (["invariants", "--m", "700", "--n", "1", "--kind", "kac", "--verify", "--sample", "1"],
+         38306318400000),
+        (["invariants", "--m", "700", "--n", "1", "--kind", "dualkac", "--verify", "--sample", "1"],
+         38306318400000),
+    ],
+    ids=["classify-sample", "classify-weight", "verify-kac", "verify-dualkac"],
+)
+def test_weyl_work_guard_fires_before_sampling_and_weyl(capsys, monkeypatch, argv, work):
+    monkeypatch.setattr(glsuper.cli.random, "Random", _refuse)
+    monkeypatch.setattr(dimensions, "weyl_dim_gl", _refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"would take {work} predicted steps" in err
+    assert f"WEYL_MAX_WORK = {dimensions.WEYL_MAX_WORK}" in err
+
+
+def test_weyl_work_guard_admits_what_verify_without_kac_skips(capsys, monkeypatch):
+    # invariants runs no Weyl formula unless --verify builds (dual) Kac modules
+    argv = ["invariants", "--m", "700", "--n", "1", "--sample", "1", "--kind"]
+    assert run(capsys, *argv, "kac")[0] == 0
+    assert run(capsys, *argv, "simple", "--verify")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--m", "200", "--n", "1", "--weight=" + ",".join(map(str, range(199, -1, -1))) + ",0"],
+        ["resolve", "--target", "kac", "--depth", "1", f"--weight={10**4300 - 1}"],
+        ["resolve", "--target", "kac", "--depth", "1", f"--weight={10**4300 - 1}", "--format", "csv"],
+    ],
+    ids=["classify", "resolve-json", "resolve-csv"],
+)
+def test_a_number_too_long_to_print_is_refused(capsys, argv):
+    # the Weyl dimension has about 6,000 digits; lam + 1 has 4,301
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"more digits than sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "invariants"])
@@ -331,6 +383,26 @@ def test_resolve_kl_table(capsys):
     table = {(row["lam"], row["mu"]): row for row in payload["kl_table"]}
     assert table[(0, 2)]["poly"] == [1] and table[(0, 2)]["constant_term_1"] is True
     assert table[(2, 0)]["poly"] == [] and table[(2, 0)]["constant_term_1"] is False
+
+
+def test_resolve_csv_prints_the_kl_table(capsys):
+    args = ["resolve", "--target", "kac", "--weight", "0", "--depth", "4", "--kl-window", "2"]
+    _, out, _ = run(capsys, *args)
+    table = json.loads(out)["kl_table"]
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index("lam,mu,poly,constant_term_1")
+    assert lines[start - 2].startswith("measured_complexity,")
+    assert lines[start - 1].startswith("measured_z,")
+    assert lines[start + 1:] == [
+        f"{row['lam']},{row['mu']},{json.dumps(row['poly']).replace(',', ';')},{row['constant_term_1']}"
+        for row in table
+    ]
+    assert "0,2,[1],True" in lines and "2,0,[],False" in lines
+    # without --kl-window the CSV ends at the measured_z line
+    _, out, _ = run(capsys, *args[:-2], "--format", "csv")
+    assert out.splitlines() == lines[:start]
 
 
 def test_resolve_kl_window_guard_fires_before_resolving(capsys, monkeypatch):

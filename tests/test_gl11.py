@@ -31,6 +31,17 @@ from glsuper.weights import SuperParams, Weight
 P11 = SuperParams(1, 1)
 
 
+def test_edited_modules_leave_later_modules_and_resolutions_alone():
+    resolutions = [gl11_minimal_resolution(kind, 3, 6) for kind in ("kac", "simple")]
+    for build in (gl11_kac, gl11_simple, gl11_projective):
+        before = {unit: [dict(col) for col in cols] for unit, cols in build(3).actions.items()}
+        for cols in build(3).actions.values():
+            for col in cols:
+                col[0] = 7
+        assert build(3).actions == before
+    assert [gl11_minimal_resolution(kind, 3, 6) for kind in ("kac", "simple")] == resolutions
+
+
 def test_projective_structure():
     for lam in (-2, 0, 5):
         proj = gl11_projective(lam)

@@ -59,29 +59,40 @@ def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    "argv, used",
+    "argv, used, exit_code",
     [
-        ([], set()),
-        (["classify", "--m", "2", "--n", "1", "--weight", "0,0,0"], set()),
-        (["ehrhart", "--k", "2", "--dmax", "10"], {"polytope", "ratlinalg"}),
+        ([], set(), 0),
+        (["classify", "--m", "2", "--n", "1", "--weight", "0,0,0"], set(), 0),
+        (["ehrhart", "--k", "2", "--dmax", "10"], {"polytope", "ratlinalg"}, 0),
         (
             ["invariants", "--m", "3", "--n", "2", "--kind", "kac", "--weight", "0,0,0,0,0", "--verify"],
             {"ratlinalg", "oracle.gt", "oracle.modules"},
+            0,
+        ),
+        (
+            ["invariants", "--m", "1", "--n", "1", "--kind", "simple", "--weight", "0,0", "--verify"],
+            {"ratlinalg", "oracle.gl11"},
+            0,
         ),
         (
             ["resolve", "--target", "simple", "--depth", "3", "--kl-window", "1"],
-            {"ratlinalg", "oracle.gt", "oracle.modules", "oracle.gl11"},
+            {"ratlinalg", "oracle.gl11"},
+            0,
         ),
+        (["resolve", "--target", "kac", "--depth", "40"], {"ratlinalg", "oracle.gl11"}, 64),
     ],
-    ids=["import", "classify", "ehrhart", "invariants-verify", "resolve"],
+    ids=[
+        "import", "classify", "ehrhart", "invariants-verify", "invariants-verify-gl11",
+        "resolve", "resolve-usage-error",
+    ],
 )
-def test_each_subcommand_runs_only_the_modules_it_uses(argv, used):
+def test_each_subcommand_runs_only_the_modules_it_uses(argv, used, exit_code):
     # a stray top-level import of a heavy module would cost every op its
     # compile time; here it fails instead
     proc = _python(RAN, *argv)
     assert proc.returncode == 0, proc.stderr
     code, present, ran = json.loads(proc.stdout)
-    assert code == 0
+    assert code == exit_code
     assert set(present) == ALWAYS | LAZY
     assert set(ran) == ALWAYS | {f"glsuper.{name}" for name in used}
 

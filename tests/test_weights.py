@@ -243,6 +243,23 @@ def test_length_equals_naive_on_principal_block(k):
         assert length(w) == naive_length(w)
 
 
+def _length_by_form(lam):
+    """length as the form on Weight values: k(k+1)/2 + sum over omega of
+    (lam^+ + rho_n, alpha)."""
+    params = lam.params
+    desc = atypicality(lam)
+    k = desc.atypicality
+    shifted = Weight(params, lam.coeffs[: params.m] + (0,) * params.n) + rho_n(params)
+    return k * (k + 1) // 2 + sum(bilinear_form(shifted, r.to_weight(params)) for r in desc.omega)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), params=SMALL_PARAMS)
+def test_length_matches_the_bilinear_form(data, params):
+    w = data.draw(dominant_weights(params, 4))
+    assert length(w) == _length_by_form(w)
+
+
 def test_bruhat_principal():
     assert bruhat_leq_principal(Weight(P11, (-2, 2)), Weight.zero(P11))
     assert bruhat_leq_principal(Weight(P22, (0, -1, 1, 0)), Weight.zero(P22))
