@@ -128,7 +128,7 @@ def _classify_one(w: Weight) -> dict:
         "dominant": True,
         "block": desc.to_json(),
         "naive_length": naive_length(w),
-        "length": length(w),
+        "length": length(w, desc),
         "weyl_dim_g0": bounds.lower,
         "projective_dim_bounds": [bounds.lower, bounds.upper],
     }

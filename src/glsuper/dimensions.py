@@ -10,11 +10,10 @@ criterion ``kac_ext_trivial``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
+from ._record import Record
 from .errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from .weights import (
     SuperParams,
@@ -40,12 +39,10 @@ CAUCHY_MAX_D = 30
 WEYL_MAX_WORK = 4 * 10**12
 
 
-@dataclass(frozen=True)
-class DimBound:
+class DimBound(Record):
     """Bracket 2^{dim g_1bar} * dim L0 >= dim P >= dim L0 for a projective cover."""
 
-    lower: int
-    upper: int
+    __slots__ = ("lower", "upper")
 
     def __post_init__(self) -> None:
         if not 1 <= self.lower <= self.upper:
@@ -55,12 +52,10 @@ class DimBound:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class ExtDegreeWindow:
+class ExtDegreeWindow(Record):
     """Admissible Ext degrees d = base + b with b in {0, ..., width = mn}."""
 
-    base: int
-    width: int
+    __slots__ = ("base", "width")
 
     def admissible(self, d: int) -> bool:
         return d >= 0 and self.base <= d <= self.base + self.width
@@ -76,22 +71,26 @@ def weyl_dim_gl(hw: tuple[int, ...]) -> int:
             den *= j - i
     value, rem = divmod(num, den)
     if rem or value <= 0:
+        from fractions import Fraction  # only here: classify need not import it
+
         raise InternalCheckError(
             f"Weyl dimension of {hw} is {Fraction(num, den)}, not a positive integer"
         )
     return value
 
 
+def weyl_work_gl(hw: tuple[int, ...]) -> int:
+    """Predicted steps of weyl_dim_gl(hw), F^2 * b * max(b, 64) with F = r(r-1)/2 factors."""
+    r = len(hw)
+    # every factor hw[i] - hw[j] + j - i is at most this in absolute value
+    bits = (max(hw, default=0) - min(hw, default=0) + r - 1).bit_length()
+    return (r * (r - 1) // 2) ** 2 * bits * max(bits, 64)
+
+
 def weyl_work(mu: Weight) -> int:
-    """Predicted steps of weyl_dim_g0(mu), F^2 * b * max(b, 64) for each factor gl(r)."""
+    """Predicted steps of weyl_dim_g0(mu), the sum over its factors gl(m) and gl(n)."""
     m = mu.params.m
-    work = 0
-    for hw in (mu.coeffs[:m], mu.coeffs[m:]):
-        r = len(hw)
-        # every factor hw[i] - hw[j] + j - i is at most this in absolute value
-        bits = (max(hw) - min(hw) + r - 1).bit_length()
-        work += (r * (r - 1) // 2) ** 2 * bits * max(bits, 64)
-    return work
+    return weyl_work_gl(mu.coeffs[:m]) + weyl_work_gl(mu.coeffs[m:])
 
 
 def check_weyl_work(work: int) -> None:

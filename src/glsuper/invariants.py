@@ -8,8 +8,8 @@ subpackage and the two sides are compared in the acceptance tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, InternalCheckError
 from .weights import SuperParams, Weight, atypicality
 
@@ -20,8 +20,7 @@ class ModuleKind(enum.Enum):
     SIMPLE = "simple"
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Invariants of a Kac, dual Kac, or simple module of atypicality k.
 
     dim_rank_plus / dim_rank_minus are the maximal ranks of square-zero odd
@@ -30,13 +29,10 @@ class InvariantReport:
     g_{+-1} are recovered via ``rank_orbit_closure_dim``.
     """
 
-    complexity: int
-    z_invariant: int
-    dim_X: int
-    dim_V_g_g0: int
-    dim_V_f_f0: int
-    dim_rank_plus: int
-    dim_rank_minus: int
+    __slots__ = (
+        "complexity", "z_invariant", "dim_X", "dim_V_g_g0", "dim_V_f_f0", "dim_rank_plus",
+        "dim_rank_minus",
+    )
 
     def __post_init__(self) -> None:
         if self.complexity != self.dim_X + self.dim_V_g_g0:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from .._record import Record
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
 from ..ratlinalg import SparseCols, sparse_mul, sparse_pivots, sparse_rank, sparse_relations
 from ..weights import SuperParams
@@ -67,13 +67,10 @@ def gl11_simple(lam: int) -> modules.MatrixModule:
     return _weight_module(lam, *_TARGETS["simple"])
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
+class ResolutionTrace(Record):
     """Multiset of projective covers per degree of a minimal resolution."""
 
-    target: str
-    depth: int
-    degrees: tuple[dict[int, int], ...]
+    __slots__ = ("target", "depth", "degrees")
 
     def multiplicity(self, d: int, weight: int) -> int:
         return self.degrees[d].get(weight, 0)
@@ -277,12 +274,10 @@ def kl_poly_gl11(lam: int, mu: int) -> list[int]:
     return poly
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(Record):
     """Measured polynomial rate of a resolution: rounded rate and the raw slope."""
 
-    rate: int
-    slope: float
+    __slots__ = ("rate", "slope")
 
 
 def measured_growth(trace: ResolutionTrace, weighting: str = "dimP") -> GrowthFit:

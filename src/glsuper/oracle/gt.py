@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dimensions import weyl_dim_gl
+from .._record import Record
+from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
 from ..errors import DomainError, InternalCheckError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 
@@ -91,11 +91,10 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
                 raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
-@dataclass(frozen=True)
-class GTPattern:
+class GTPattern(Record):
     """Rows of lengths r, r-1, ..., 1, top row first, consecutive rows interlacing."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
     def __post_init__(self) -> None:
         r = len(self.rows)
@@ -133,14 +132,10 @@ def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:
     return [GTPattern(stack) for stack in stacks]
 
 
-@dataclass(frozen=True)
-class GlRep:
+class GlRep(Record):
     """A simple gl(r) module: pattern basis plus sparse columns for every unit E_{ij}."""
 
-    r: int
-    highest_weight: tuple[int, ...]
-    patterns: tuple[GTPattern, ...]
-    actions: dict[Unit, SparseCols]
+    __slots__ = ("r", "highest_weight", "patterns", "actions")
 
     @property
     def dim(self) -> int:
@@ -161,6 +156,7 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     hw = tuple(int(c) for c in highest_weight)
     if len(hw) != r:
         raise DomainError(f"expected {r} coordinates, got {len(hw)}")
+    check_weyl_work(weyl_work_gl(hw))
     dim = weyl_dim_gl(hw)
     if dim > GT_MAX_DIM:
         raise ResourceLimitError(f"dimension {dim} exceeds GT_MAX_DIM = {GT_MAX_DIM}")

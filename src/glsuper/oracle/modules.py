@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..dimensions import weyl_dim_g0
+from .._record import Record
+from ..dimensions import check_weyl_work, weyl_dim_g0, weyl_work
 from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_rank
 from ..weights import SuperParams, Weight, require_dominant
@@ -47,14 +47,10 @@ KAC_MAX_COST = 2_100_000
 OddElement = tuple[tuple[Unit, int], ...]
 
 
-@dataclass
-class MatrixModule:
+class MatrixModule(Record, frozen=False):
     """Finite-dimensional gl(m|n)-module given by sparse columns per unit E_{ij}."""
 
-    params: SuperParams
-    dim: int
-    actions: dict[Unit, SparseCols]
-    parity: tuple[int, ...]
+    __slots__ = ("params", "dim", "actions", "parity")
 
     def __post_init__(self) -> None:
         expected_units = {(i, j) for i in range(1, self.params.rank + 1) for j in range(1, self.params.rank + 1)}
@@ -129,8 +125,10 @@ def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> Spars
 
 
 def kac_cost(lam: Weight) -> tuple[int, int]:
-    """Dimension of K(lam) and its predicted build and bracket-check cost."""
+    """Dimension of K(lam) and its predicted build and bracket-check cost; a Weyl
+    formula over WEYL_MAX_WORK is refused before it runs."""
     m, n = lam.params.m, lam.params.n
+    check_weyl_work(weyl_work(lam))
     dim_l0 = weyl_dim_g0(lam)
     dim = (1 << (m * n)) * dim_l0
     return dim, (m + n) ** 3 * dim * dim_l0.bit_length()

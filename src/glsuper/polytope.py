@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import (
     DegenerateCaseError,
     DomainError,
@@ -49,13 +49,10 @@ _CALL_DIVISOR = {2: 3, 3: 115}
 LinearCondition = tuple[tuple[Fraction, ...], Fraction]
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(Record):
     """Exact H-representation; inequalities read coeffs . x >= rhs."""
 
-    dim_ambient: int
-    equalities: tuple[LinearCondition, ...]
-    inequalities: tuple[LinearCondition, ...]
+    __slots__ = ("dim_ambient", "equalities", "inequalities")
 
     def satisfies(self, point: Sequence, dilation: int = 1, strict: bool = False) -> bool:
         """Membership of point in the dilation-fold dilated polytope.
@@ -292,12 +289,10 @@ def brute_force_count(k: int, d: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """One degree <= 2k-1 polynomial per residue class; coefficients ascending."""
 
-    period: int
-    polys: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("period", "polys")
 
     def __post_init__(self) -> None:
         if len(self.polys) != self.period:

@@ -11,8 +11,7 @@ length/order transport used by the pair conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import DomainError, InternalCheckError, ParameterError
 from .polytope import enumerate_lattice_points
 from .weights import (
@@ -26,11 +25,10 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class ZetaInput:
-    params: SuperParams
-    k: int
-    x: tuple[int, ...]
+class ZetaInput(Record):
+    """The argument of zeta: a k-vector x for the block of atypicality k of gl(m|n)."""
+
+    __slots__ = ("params", "k", "x")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(self.x))
@@ -40,13 +38,10 @@ class ZetaInput:
             raise ParameterError(f"expected {self.k} coordinates, got {len(self.x)}")
 
 
-@dataclass(frozen=True)
-class WeightPairSet:
+class WeightPairSet(Record):
     """The pair set S(d) inside B x B, with the block descriptor attached."""
 
-    d: int
-    pairs: tuple[tuple[Weight, Weight], ...]
-    block: BlockDescriptor
+    __slots__ = ("d", "pairs", "block")
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -11,18 +11,16 @@ values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from ._record import Record
 from .errors import DomainError, ParameterError
 
 
-@dataclass(frozen=True, order=True)
-class SuperParams:
+class SuperParams(Record, order=True):
     """Size data (m|n), normalized so that m >= n >= 1."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, int) and isinstance(self.n, int)):
@@ -38,12 +36,10 @@ class SuperParams:
         return f"gl({self.m}|{self.n})"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Integral weight sum(coeffs[i] * eps_{i+1}) for gl(m|n)."""
 
-    params: SuperParams
-    coeffs: tuple[int, ...]
+    __slots__ = ("params", "coeffs")
 
     def __post_init__(self) -> None:
         coeffs = tuple(self.coeffs)
@@ -90,12 +86,10 @@ class Weight:
         return f"({left}|{right})"
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(Record, order=True):
     """The root eps_i - eps_j, i != j, 1-based indices."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
     def __post_init__(self) -> None:
         if self.i == self.j:
@@ -182,8 +176,7 @@ def odd_positive_roots(params: SuperParams) -> Iterator[Root]:
             yield Root(i, j)
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(Record):
     """Atypicality, core multisets, and the orthogonal odd root set of a weight.
 
     The cores are stored as sorted tuples so equality is multiset equality.
@@ -192,10 +185,7 @@ class BlockDescriptor:
     pairs sit for the particular weight and is not part of the block key.
     """
 
-    atypicality: int
-    core_left: tuple[int, ...]
-    core_right: tuple[int, ...]
-    omega: tuple[Root, ...]
+    __slots__ = ("atypicality", "core_left", "core_right", "omega")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "core_left", tuple(sorted(self.core_left)))
@@ -286,9 +276,13 @@ def naive_length(lam: Weight) -> int:
     return sum(lam.coeffs[: lam.params.m])
 
 
-def length(lam: Weight) -> int:
-    """k(k+1)/2 + sum over omega of (lam^+ + rho_n, eps_i - eps_j) = lam_i - (j - m)."""
-    desc = atypicality(lam)
+def length(lam: Weight, desc: BlockDescriptor | None = None) -> int:
+    """k(k+1)/2 + sum over omega of (lam^+ + rho_n, eps_i - eps_j) = lam_i - (j - m).
+
+    desc, if given, is atypicality(lam), which is then not computed again.
+    """
+    if desc is None:
+        desc = atypicality(lam)
     k = desc.atypicality
     m = lam.params.m
     return k * (k + 1) // 2 + sum(lam.coeffs[r.i - 1] - (r.j - m) for r in desc.omega)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsuper.cli
-from glsuper import dimensions, polytope
+from glsuper import dimensions, polytope, weights
 from glsuper.cli import main
 from glsuper.dimensions import cauchy_symmetric_decomposition
 from glsuper.errors import InternalCheckError, ResourceLimitError
@@ -77,6 +77,23 @@ def test_classify_sampling_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_classify_computes_each_block_descriptor_once(capsys, monkeypatch):
+    original = weights.atypicality
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
+
+    args = ("classify", "--m", "4", "--n", "3", "--sample", "6", "--seed", "3")
+    _, expected, _ = run(capsys, *args)
+    monkeypatch.setattr(glsuper.cli, "atypicality", counted)
+    monkeypatch.setattr(weights, "atypicality", counted)
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == expected
+    assert len(calls) == 6
 
 
 def test_classify_rows_match_gt_pattern_counts(capsys):

@@ -6,6 +6,7 @@ body has run is a plain ``types.ModuleType``; reading any attribute of a
 registered one would run it, so the tests look only at ``type(module)``.
 """
 
+import functools
 import json
 import os
 import re
@@ -32,6 +33,7 @@ LAZY = {
 ALWAYS = {
     "glsuper",
     "glsuper._lazy",
+    "glsuper._record",
     "glsuper.cli",
     "glsuper.dimensions",
     "glsuper.errors",
@@ -47,7 +49,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = glsuper.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 glsuper_modules = {k: v for k, v in sys.modules.items() if k.split(".")[0] == "glsuper"}
 ran = [k for k, v in glsuper_modules.items() if type(v) is types.ModuleType]
-print(json.dumps([code, sorted(glsuper_modules), sorted(ran)]))
+print(json.dumps([code, sorted(glsuper_modules), sorted(ran), sorted(sys.modules)]))
 """
 
 
@@ -58,7 +60,15 @@ def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
+@functools.cache
+def _ran(*argv: str) -> list:
+    """RAN's result for argv; each op runs once however many tests read it."""
+    proc = _python(RAN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+CASES = pytest.mark.parametrize(
     "argv, used, exit_code",
     [
         ([], set(), 0),
@@ -86,15 +96,35 @@ def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
         "resolve", "resolve-usage-error",
     ],
 )
+
+
+@CASES
 def test_each_subcommand_runs_only_the_modules_it_uses(argv, used, exit_code):
     # a stray top-level import of a heavy module would cost every op its
     # compile time; here it fails instead
-    proc = _python(RAN, *argv)
-    assert proc.returncode == 0, proc.stderr
-    code, present, ran = json.loads(proc.stdout)
+    code, present, ran, _ = _ran(*argv)
     assert code == exit_code
     assert set(present) == ALWAYS | LAZY
     assert set(ran) == ALWAYS | {f"glsuper.{name}" for name in used}
+
+
+@functools.cache
+def _bare_modules() -> set[str]:
+    proc = _python("import json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@CASES
+def test_start_up_imports_no_costly_stdlib_module(argv, used, exit_code):
+    # with no bytecode cached, importing the PEP 557 record module (and with
+    # it inspect, ast, dis, tokenize) cost every op about 13 ms, and fractions
+    # with decimal 4 ms more, for one error message on the classify path
+    avoided = {"dataclasses", "inspect"}
+    if argv[:1] in ([], ["classify"]):
+        avoided |= {"fractions", "decimal"}
+    loaded = set(_ran(*argv)[3])
+    assert avoided & loaded <= _bare_modules()
 
 
 FIRST_TOUCH = """

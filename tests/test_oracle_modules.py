@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,25 @@ def test_kac_scale_guard_fires_before_any_work(monkeypatch):
                 match=f"dimension {dim}: predicted cost {cost} exceeds {KAC_MAX_COST}",
             ):
                 build(w)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [kac_module, dual_kac_module, kac_cost, lambda w: gl_simple(500, w.coeffs[:500])],
+    ids=["kac_module", "dual_kac_module", "kac_cost", "gl_simple"],
+)
+def test_weyl_work_guard_fires_before_the_weyl_formula(monkeypatch, build):
+    # the Weyl formula of gl(500), 124,750 factors, takes about 6 s, and
+    # KAC_MAX_COST could refuse the module only after it
+    def no_formula(*args):
+        raise AssertionError("the Weyl formula ran before the guard")
+
+    monkeypatch.setattr(glsuper.dimensions, "weyl_dim_gl", no_formula)
+    monkeypatch.setattr(glsuper.oracle.gt, "weyl_dim_gl", no_formula)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="WEYL_MAX_WORK"):
+        build(Weight.zero(SuperParams(500, 1)))
+    assert time.perf_counter() - start < 1
 
 
 def test_kac_cost_guard_admits_measured_modules():

@@ -258,6 +258,7 @@ def _length_by_form(lam):
 def test_length_matches_the_bilinear_form(data, params):
     w = data.draw(dominant_weights(params, 4))
     assert length(w) == _length_by_form(w)
+    assert length(w, atypicality(w)) == length(w)
 
 
 def test_bruhat_principal():
