@@ -104,10 +104,15 @@ def _emit(payload, args) -> str:
     if args.format == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     rows = payload if isinstance(payload, list) else [payload]
-    keys = sorted({k for row in rows for k in row})
-    lines = [",".join(keys)]
-    lines += [",".join(_csv_cell(row.get(k)) for k in keys) for row in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_csv(sorted({k for row in rows for k in row}), rows)) + "\n"
+
+
+def _csv(keys, rows) -> list[str]:
+    """CSV lines: the keys, then each row's cells under them (empty where the
+    row lacks a key); with no rows, one line of the cells given as keys."""
+    return [",".join(map(_csv_cell, keys))] + [
+        ",".join(_csv_cell(row.get(k)) for k in keys) for row in rows
+    ]
 
 
 def _csv_cell(value) -> str:
@@ -116,6 +121,15 @@ def _csv_cell(value) -> str:
     if isinstance(value, (list, tuple, dict)):
         return json.dumps(value, sort_keys=True).replace(",", ";")
     return str(value)
+
+
+def _growth(trace, report) -> list[tuple]:
+    """(name, measured growth fit, formula) of a gl(1|1) resolution for the
+    complexity and the z-invariant, each named as its report field."""
+    return [
+        (name, gl11.measured_growth(trace, counter), getattr(report, name))
+        for name, counter in (("complexity", "dimP"), ("z_invariant", "unit"))
+    ]
 
 
 def _classify_one(w: Weight) -> dict:
@@ -148,40 +162,24 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
             module = modules.kac_module(w) if kind is ModuleKind.KAC else modules.dual_kac_module(w)
         except ResourceLimitError as exc:
             return [{"name": "rank_variety", "skipped": str(exc)}]
-        for side, expected in ((1, report.dim_rank_plus), (-1, report.dim_rank_minus)):
-            measured = modules.rank_variety(module, side)
-            checks.append(
-                {
-                    "name": f"rank_variety_side_{side:+d}",
-                    "formula": expected,
-                    "measured": measured,
-                    "orbit_dim": rank_orbit_closure_dim(params, measured),
-                    "agree": measured == expected,
-                }
-            )
+        checks = [
+            {
+                "name": f"rank_variety_side_{side:+d}",
+                "formula": expected,
+                "measured": (measured := modules.rank_variety(module, side)),
+                "orbit_dim": rank_orbit_closure_dim(params, measured),
+                "agree": measured == expected,
+            }
+            for side, expected in ((1, report.dim_rank_plus), (-1, report.dim_rank_minus))
+        ]
     if params == SuperParams(1, 1) and w.coeffs[0] == -w.coeffs[1]:
         target = "kac" if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC) else "simple"
         trace = gl11.gl11_minimal_resolution(target, w.coeffs[0], 12)
-        fit = gl11.measured_growth(trace, "dimP")
-        zfit = gl11.measured_growth(trace, "unit")
-        checks.append(
-            {
-                "name": "measured_complexity",
-                "formula": report.complexity,
-                "measured": fit.rate,
-                "slope_float": fit.slope,
-                "agree": fit.rate == report.complexity,
-            }
-        )
-        checks.append(
-            {
-                "name": "measured_z_invariant",
-                "formula": report.z_invariant,
-                "measured": zfit.rate,
-                "slope_float": zfit.slope,
-                "agree": zfit.rate == report.z_invariant,
-            }
-        )
+        checks += [
+            {"name": f"measured_{name}", "formula": formula, "measured": fit.rate,
+             "slope_float": fit.slope, "agree": fit.rate == formula}
+            for name, fit, formula in _growth(trace, report)
+        ]
     if not checks:
         checks.append({"name": "oracle", "skipped": "no oracle at this scale"})
     return checks
@@ -244,9 +242,7 @@ def cmd_ehrhart(args) -> str:
     ds = sorted({*table, *fit_ds})
     polytope.check_count_cost(k, ds)
     counts = {d: polytope.count_lattice_points(k, d) for d in ds}
-    quasi = None
-    bound = None
-    fit_error = None
+    quasi = bound = fit_error = None
     if not fit_ds:
         fit_error = (
             f"the fit needs counts up to d={fit_max} ({2 * k + 1} x the period "
@@ -258,22 +254,14 @@ def cmd_ehrhart(args) -> str:
             bound = polytope.lower_bound_poly(quasi)
         except FitError as exc:
             fit_error = str(exc)
-    rows = []
-    for d in table:
-        row = {"d": d, "count": counts[d]}
-        if bound is not None:
-            qd = polytope.eval_poly(bound, d)
-            row["Q"] = str(qd)
-            row["count_ge_Q"] = counts[d] >= qd
-        rows.append(row)
+    rows = [{"d": d, "count": counts[d]} for d in table]
+    if bound is not None:
+        for row in rows:
+            qd = polytope.eval_poly(bound, row["d"])
+            row |= {"Q": str(qd), "count_ge_Q": row["count"] >= qd}
     if args.format == "csv":
-        lines = ["d,count,Q,count_ge_Q"]
-        lines += [
-            f"{row['d']},{row['count']},{row.get('Q', '')},{row.get('count_ge_Q', '')}" for row in rows
-        ]
-        if truncated:
-            lines.append(f"WARNING,{truncated},,")
-        return "\n".join(lines) + "\n"
+        warning = [{"d": "WARNING", "count": truncated}] if truncated else []
+        return "\n".join(_csv(("d", "count", "Q", "count_ge_Q"), rows + warning)) + "\n"
     payload = {
         "k": k,
         "rows": rows,
@@ -288,62 +276,43 @@ def cmd_ehrhart(args) -> str:
 def cmd_resolve(args) -> str:
     if not 0 <= args.depth <= gl11.MAX_DEPTH:
         raise argparse.ArgumentTypeError(f"--depth must lie in 0..{gl11.MAX_DEPTH}")
-    if args.kl_window is not None and args.kl_window < 0:
-        raise argparse.ArgumentTypeError(f"--kl-window must not be negative, got {args.kl_window}")
+    win = args.kl_window
+    if win is not None and win < 0:
+        raise argparse.ArgumentTypeError(f"--kl-window must not be negative, got {win}")
     # the KL table pairs lam = -W with mu = W, and kl_poly_gl11 refuses a
     # separation beyond MAX_DEPTH; refuse it here, before the resolution runs
-    if args.kl_window is not None and 2 * args.kl_window > gl11.MAX_DEPTH:
+    if win is not None and 2 * win > gl11.MAX_DEPTH:
         raise ResourceLimitError(
-            f"--kl-window {args.kl_window} needs pair separation {2 * args.kl_window}, "
-            f"beyond resolution depth {gl11.MAX_DEPTH}"
+            f"--kl-window {win} needs pair separation {2 * win}, beyond resolution depth {gl11.MAX_DEPTH}"
         )
     lam = args.weight
     trace = gl11.gl11_minimal_resolution(args.target, lam, args.depth)
-    fit = gl11.measured_growth(trace, "dimP")
-    zfit = gl11.measured_growth(trace, "unit")
-    w = Weight(SuperParams(1, 1), (lam, -lam))
     kind = ModuleKind.KAC if args.target == "kac" else ModuleKind.SIMPLE
-    report = variety_dims(kind, w)
-    payload = {
-        "target": trace.target,
-        "depth": trace.depth,
-        "degrees": trace.to_json(),
-        "measured_complexity": fit.rate,
-        "complexity_slope_float": fit.slope,
-        "formula_complexity": report.complexity,
-        "complexity_agree": fit.rate == report.complexity,
-        "measured_z": zfit.rate,
-        "z_slope_float": zfit.slope,
-        "formula_z": report.z_invariant,
-        "z_agree": zfit.rate == report.z_invariant,
-    }
-    if args.kl_window is not None:
-        table = []
-        win = args.kl_window
-        for a in range(-win, win + 1):
-            for b in range(-win, win + 1):
-                poly = gl11.kl_poly_gl11(a, b)
-                table.append(
-                    {
-                        "lam": a,
-                        "mu": b,
-                        "poly": poly,
-                        "constant_term_1": bool(poly) and poly[0] == 1,
-                    }
-                )
-        payload["kl_table"] = table
+    report = variety_dims(kind, Weight(SuperParams(1, 1), (lam, -lam)))
+    # resolve's keys shorten z_invariant to z
+    growth = [
+        (name.removesuffix("_invariant"), fit, formula) for name, fit, formula in _growth(trace, report)
+    ]
+    payload = {"target": trace.target, "depth": trace.depth, "degrees": trace.to_json()}
+    for name, fit, formula in growth:
+        payload |= {f"measured_{name}": fit.rate, f"{name}_slope_float": fit.slope,
+                    f"formula_{name}": formula, f"{name}_agree": fit.rate == formula}
+    if win is not None:
+        payload["kl_table"] = [
+            {"lam": a, "mu": b, "poly": (poly := gl11.kl_poly_gl11(a, b)),
+             "constant_term_1": bool(poly) and poly[0] == 1}
+            for a in range(-win, win + 1) for b in range(-win, win + 1)
+        ]
     if args.format == "json":
         return _emit(payload, args)
-    lines = ["degree,summands,total_dim"]
-    for entry in trace.to_json():
-        summands = ";".join(f"{s['weight']}:{s['multiplicity']}" for s in entry["summands"])
-        lines.append(f"{entry['degree']},{summands},{entry['total_dim']}")
-    lines.append(f"measured_complexity,{fit.rate},formula,{report.complexity}")
-    lines.append(f"measured_z,{zfit.rate},formula,{report.z_invariant}")
-    if args.kl_window is not None:
-        keys = ("lam", "mu", "poly", "constant_term_1")
-        lines.append(",".join(keys))
-        lines += [",".join(_csv_cell(row[k]) for k in keys) for row in payload["kl_table"]]
+    lines = _csv(("degree", "summands", "total_dim"), [
+        {**entry, "summands": ";".join(f"{s['weight']}:{s['multiplicity']}" for s in entry["summands"])}
+        for entry in payload["degrees"]
+    ])
+    for name, fit, formula in growth:
+        lines += _csv((f"measured_{name}", fit.rate, "formula", formula), ())
+    if win is not None:
+        lines += _csv(("lam", "mu", "poly", "constant_term_1"), payload["kl_table"])
     return "\n".join(lines) + "\n"
 
 

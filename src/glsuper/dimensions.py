@@ -103,7 +103,9 @@ def check_weyl_work(work: int) -> None:
 
 
 def weyl_dim_g0(mu: Weight) -> int:
-    """Dimension of the simple gl(m) x gl(n) module with highest weight mu."""
+    """Dimension of the simple gl(m) x gl(n) module with highest weight mu; a
+    Weyl formula over WEYL_MAX_WORK is refused before it runs."""
+    check_weyl_work(weyl_work(mu))
     require_dominant(mu)
     m = mu.params.m
     return weyl_dim_gl(mu.coeffs[:m]) * weyl_dim_gl(mu.coeffs[m:])

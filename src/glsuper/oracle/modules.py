@@ -20,7 +20,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .._record import Record
-from ..dimensions import check_weyl_work, weyl_dim_g0, weyl_work
+from ..dimensions import weyl_dim_g0
 from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_rank
 from ..weights import SuperParams, Weight, require_dominant
@@ -125,10 +125,8 @@ def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> Spars
 
 
 def kac_cost(lam: Weight) -> tuple[int, int]:
-    """Dimension of K(lam) and its predicted build and bracket-check cost; a Weyl
-    formula over WEYL_MAX_WORK is refused before it runs."""
+    """Dimension of K(lam) and its predicted build and bracket-check cost."""
     m, n = lam.params.m, lam.params.n
-    check_weyl_work(weyl_work(lam))
     dim_l0 = weyl_dim_g0(lam)
     dim = (1 << (m * n)) * dim_l0
     return dim, (m + n) ** 3 * dim * dim_l0.bit_length()

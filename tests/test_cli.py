@@ -340,21 +340,51 @@ def test_ehrhart_k3_reports_infeasible_fit(capsys):
         assert row == {"d": row["d"], "count": len(enumerate_lattice_points(3, row["d"]))}
 
 
-# sha256 of stdout, recorded from the kernel that looped over every b coordinate
-EHRHART_STDOUT_SHA256 = {
+# sha256 of stdout: the ehrhart k2/k3 tables recorded from the kernel that
+# looped over every b coordinate, the rest from the CLI that wrote each CSV
+# table and each measured-growth check by hand
+STDOUT_SHA256 = {
     ("ehrhart", "--k", "2", "--dmax", "160"):
         "726aa9b3c0997286bc7ea3ebe6b18a8616eee925e94481c9b1e32e6653dbbc1f",
     ("ehrhart", "--k", "2", "--dmin", "3", "--dmax", "160", "--format", "csv"):
         "5e3a8e113b469d4558c480b215e12338a658f1ec6f3a3cb1ff5c5c83de1f6911",
     ("ehrhart", "--k", "3", "--dmax", "40"):
         "492108dc72e961b513d8718e6ac686f68455b6245011fcf8e49ae92072c9fb4b",
+    ("ehrhart", "--k", "2", "--dmin", "195", "--dmax", "250", "--format", "csv"):
+        "7277b1babfc75b32b9288e9f637b0d21924611c1ffc4db8beec0ca8c483dd73d",
+    ("resolve", "--target", "kac", "--weight", "0", "--depth", "8", "--kl-window", "2"):
+        "552d711d7fb2b96760fff08f7729bbdc1169e8a65710db789e1c360102b205ec",
+    ("resolve", "--target", "simple", "--weight", "1", "--depth", "10", "--kl-window", "3",
+     "--format", "csv"):
+        "ad747dda40754fc8764228784197768d38a7f16652ef3edf1666c8fb840cfb5d",
+    ("resolve", "--target", "kac", "--weight", "-2", "--depth", "12", "--format", "csv"):
+        "b5624e3c58ad8c745d1eb2dc3cf5c9e4c51ad5e5f7e37861dd61ab4eb2cf04be",
+    ("resolve", "--target", "simple", "--weight", "3", "--depth", "12"):
+        "0f17d03ca23cd568a87895b4c2d77cd94c49759cceda25aed6a2984b82606df1",
+    ("invariants", "--m", "1", "--n", "1", "--kind", "simple", "--weight", "3,-3", "--verify"):
+        "379be4424539e11b74324a8d2074fc935c285fec3a6b9477371b82b1cfdf9e24",
+    ("invariants", "--m", "1", "--n", "1", "--kind", "simple", "--weight", "3,-3", "--verify",
+     "--format", "csv"):
+        "919d1f18682312f9a67b0cbf57ce950232403e8fd0aadac031f8a2aa74e919b9",
+    ("invariants", "--m", "1", "--n", "1", "--kind", "kac", "--weight", "2,-2", "--verify"):
+        "2c9d45aeacfa371079ae4cf2e1988b16e1a3dec926b4dbc824e9f09620a2f6d1",
+    ("invariants", "--m", "1", "--n", "1", "--kind", "kac", "--weight", "2,-2", "--verify",
+     "--format", "csv"):
+        "f3d4a9119d3b9d4ccf9266635edc0ebb5dbafb6e68fc38b43c771e5b71dcb86f",
 }
 
 
 @pytest.mark.parametrize(
-    "argv,digest", EHRHART_STDOUT_SHA256.items(), ids=["k2-json", "k2-csv", "k3-json"]
+    "argv,digest",
+    STDOUT_SHA256.items(),
+    ids=[
+        "ehrhart-k2-json", "ehrhart-k2-csv", "ehrhart-k3-json", "ehrhart-truncated-csv",
+        "resolve-kl-json", "resolve-kl-csv", "resolve-csv", "resolve-json",
+        "invariants-gl11-simple-json", "invariants-gl11-simple-csv",
+        "invariants-gl11-kac-json", "invariants-gl11-kac-csv",
+    ],
 )
-def test_ehrhart_stdout_matches_recorded_digest(capsys, argv, digest):
+def test_stdout_matches_recorded_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import glsuper
 import slow_modules
-from glsuper.dimensions import weyl_dim_g0
+from glsuper.dimensions import projective_dim_bounds, weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from glsuper.oracle import modules
 from glsuper.oracle.gt import check_super_brackets, gl_simple, super_bracket_units
@@ -130,8 +130,14 @@ def test_kac_scale_guard_fires_before_any_work(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    [kac_module, dual_kac_module, kac_cost, lambda w: gl_simple(500, w.coeffs[:500])],
-    ids=["kac_module", "dual_kac_module", "kac_cost", "gl_simple"],
+    [
+        kac_module, dual_kac_module, kac_cost, lambda w: gl_simple(500, w.coeffs[:500]),
+        weyl_dim_g0, projective_dim_bounds,
+    ],
+    ids=[
+        "kac_module", "dual_kac_module", "kac_cost", "gl_simple",
+        "weyl_dim_g0", "projective_dim_bounds",
+    ],
 )
 def test_weyl_work_guard_fires_before_the_weyl_formula(monkeypatch, build):
     # the Weyl formula of gl(500), 124,750 factors, takes about 6 s, and
