@@ -1,49 +1,28 @@
 """Exact block combinatorics, complexity formulas, and module oracles for gl(m|n)."""
 
-from . import _lazy
-from .weights import (
-    BlockDescriptor,
-    Root,
-    SuperParams,
-    Weight,
-    atypicality,
-    berezinian_weight,
-    bilinear_form,
-    bruhat_leq_principal,
-    is_dominant,
-    length,
-    naive_length,
-    rho,
-    rho_m,
-    rho_n,
-    root_partition,
-    same_block,
-)
-from .dimensions import (
-    DimBound,
-    ExtDegreeWindow,
-    cauchy_symmetric_decomposition,
-    ext_degree_constraint,
-    kac_ext_trivial,
-    partitions_at_most_k_parts,
-    proj_growth_exponent,
-    projective_dim_bounds,
-    weyl_dim_g0,
-)
-from .invariants import (
-    InvariantReport,
-    ModuleKind,
-    complexity,
-    rank_orbit_closure_dim,
-    variety_dims,
-    z_invariant,
-)
+from . import _lazy, dimensions, invariants, weights
 
 __version__ = "0.1.0"
 
 # polytope and suzhang (and ratlinalg, which polytope imports) run on first use
 _lazy.register(__name__, ("ratlinalg", "polytope", "suzhang"))
-_LAZY_NAMES = {
+# every public name, under the submodule that defines it; the first use of a
+# name reads it from there and binds it here
+_EXPORTS = {
+    "weights": (
+        "BlockDescriptor", "Root", "SuperParams", "Weight", "atypicality", "berezinian_weight",
+        "bilinear_form", "bruhat_leq_principal", "is_dominant", "length", "naive_length", "rho",
+        "rho_m", "rho_n", "root_partition", "same_block",
+    ),
+    "dimensions": (
+        "DimBound", "ExtDegreeWindow", "cauchy_symmetric_decomposition", "ext_degree_constraint",
+        "kac_ext_trivial", "partitions_at_most_k_parts", "proj_growth_exponent",
+        "projective_dim_bounds", "weyl_dim_g0",
+    ),
+    "invariants": (
+        "InvariantReport", "ModuleKind", "complexity", "rank_orbit_closure_dim", "variety_dims",
+        "z_invariant",
+    ),
     "polytope": (
         "QuasiPolynomial", "RationalPolytope", "build_polytope", "count_lattice_points",
         "enumerate_lattice_points", "fit_quasipolynomial", "interior_witness",
@@ -54,20 +33,12 @@ _LAZY_NAMES = {
         "mu_a", "nu", "phi_k1", "phi_on_zeta", "zeta",
     ),
 }
-__getattr__ = _lazy.exports(__name__, _LAZY_NAMES)
+__getattr__ = _lazy.exports(__name__, _EXPORTS)
 
 # what ``from glsuper import *`` binds: the submodules and every name above
 __all__ = [
     "dimensions", "errors", "invariants", "polytope", "ratlinalg", "suzhang", "weights",
-    "BlockDescriptor", "Root", "SuperParams", "Weight", "atypicality", "berezinian_weight",
-    "bilinear_form", "bruhat_leq_principal", "is_dominant", "length", "naive_length", "rho",
-    "rho_m", "rho_n", "root_partition", "same_block",
-    "DimBound", "ExtDegreeWindow", "cauchy_symmetric_decomposition", "ext_degree_constraint",
-    "kac_ext_trivial", "partitions_at_most_k_parts", "proj_growth_exponent",
-    "projective_dim_bounds", "weyl_dim_g0",
-    "InvariantReport", "ModuleKind", "complexity", "rank_orbit_closure_dim", "variety_dims",
-    "z_invariant",
-    *(name for names in _LAZY_NAMES.values() for name in names),
+    *(name for names in _EXPORTS.values() for name in names),
 ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import polytope
@@ -41,6 +42,12 @@ SAMPLE_BOUND = 6
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a comma-separated integer list such as the weight -1,1 is a value, as
+        # argparse already takes -2 or -.5 to be
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -133,8 +140,6 @@ def _growth(trace, report) -> list[tuple]:
 
 
 def _classify_one(w: Weight) -> dict:
-    if not is_dominant(w):
-        raise DomainError(f"weight {w} is not dominant")
     desc = atypicality(w)
     bounds = projective_dim_bounds(w)
     return {
@@ -210,8 +215,6 @@ def cmd_invariants(args) -> str:
         _check_verify_cost(kind, weights)
     out = []
     for w in weights:
-        if not is_dominant(w):
-            raise DomainError(f"weight {w} is not dominant")
         report = variety_dims(kind, w)
         entry = {"kind": kind.value, "weight": weight_to_json(w), **report.to_json()}
         if args.verify:

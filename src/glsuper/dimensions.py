@@ -164,7 +164,12 @@ def ext_degree_window(lam: Weight, mu: Weight) -> ExtDegreeWindow:
 
 
 def ext_degree_constraint(lam: Weight, mu: Weight, d: int) -> bool:
-    """Necessary condition -d = |lam| - |mu| + b with b in {0, ..., mn} for Ext^d != 0."""
+    """Necessary condition -d = |lam| - |mu| + b with b in {0, ..., mn} for
+    Ext^d(K(lam), L(mu)) != 0, from the Kac module K(lam).
+
+    It does not bound Ext from the simple module L(lam): in gl(1|1) the
+    resolution of L(0) has P(-1) in degree 1, outside the window.
+    """
     if d < 0:
         raise DomainError("degree must be nonnegative")
     return ext_degree_window(lam, mu).admissible(d)

@@ -42,15 +42,7 @@ class InvariantReport(Record):
             )
 
     def to_json(self) -> dict:
-        return {
-            "complexity": self.complexity,
-            "z_invariant": self.z_invariant,
-            "dim_X": self.dim_X,
-            "dim_V_g_g0": self.dim_V_g_g0,
-            "dim_V_f_f0": self.dim_V_f_f0,
-            "dim_rank_plus": self.dim_rank_plus,
-            "dim_rank_minus": self.dim_rank_minus,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def rank_orbit_closure_dim(params: SuperParams, r: int) -> int:

@@ -4,7 +4,7 @@ from .. import _lazy
 from ..dimensions import weyl_dim_gl
 
 _lazy.register(__name__, ("gt", "modules", "gl11"))
-_LAZY_NAMES = {
+_EXPORTS = {
     "gt": ("GTPattern", "GlRep", "gl_simple", "gt_patterns"),
     "modules": (
         "MatrixModule", "direct_sum", "dual_kac_module", "element_matrix", "f_odd_element",
@@ -16,9 +16,9 @@ _LAZY_NAMES = {
         "gl11_projective", "gl11_simple", "kl_poly_gl11", "measured_growth",
     ),
 }
-__getattr__ = _lazy.exports(__name__, _LAZY_NAMES)
+__getattr__ = _lazy.exports(__name__, _EXPORTS)
 
-__all__ = sorted(["weyl_dim_gl", *(name for names in _LAZY_NAMES.values() for name in names)])
+__all__ = sorted(["weyl_dim_gl", *(name for names in _EXPORTS.values() for name in names)])
 
 
 def __dir__():

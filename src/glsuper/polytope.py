@@ -45,6 +45,10 @@ ENUM_MAX_D = 200
 # running at half that speed.
 COUNT_MAX_STEPS = 600_000
 _CALL_DIVISOR = {2: 3, 3: 115}
+# vertices(k) solves one tight system per choice of 2k-1 of the 3k+2
+# inequalities, C(3k+2, 2k-1) in all, at 0.3 to 0.5 ms each on 2 CPUs with
+# Python 3.11: k = 5 (24,310 systems) took 7 to 13 s; k = 6 would solve 167,960
+VERTEX_MAX_SYSTEMS = 25_000
 
 LinearCondition = tuple[tuple[Fraction, ...], Fraction]
 
@@ -80,6 +84,8 @@ def _unit(k: int, index: int, value) -> list[Fraction]:
 
 
 def _system(k: int) -> RationalPolytope:
+    if k < 1:
+        raise DomainError(f"the polytope needs k >= 1, got k={k}")
     gap = Fraction(1, 2 * k * k)
     eq_row = [Fraction(1)] * k + [Fraction(-2)] * k
     ineqs: list[LinearCondition] = []
@@ -131,7 +137,12 @@ def interior_witness(k: int) -> tuple[Fraction, ...]:
 
 
 def k1_degenerate_point() -> tuple[int, int]:
-    """The single point (-1, -1) the k=1 polytope collapses to."""
+    """(-1, -1), the one lattice point of the k=1 polytope at d = 1.
+
+    The k=1 polytope is the segment from (-1, -1) to (-1/2, -3/4), not a
+    point: (-1, -1) lies in no other dilation, and from d = 4 on the d-fold
+    dilation holds more than one lattice point.
+    """
     point = (-1, -1)
     if not _system(1).satisfies(point):
         raise InternalCheckError("(-1, -1) is not a point of the k=1 system")
@@ -328,6 +339,16 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
     columns of A and then b have rank dim with b dependent, and the solution
     is then minus the relation of b: b = sum x_c A_c.
     """
+    # the count grows with k, so past k = 9 the count at 9 stands in for the
+    # count at k, which takes 0.8 s to work out at k = 10^5 and has too many
+    # digits to print from about k = 5,200 on; _system refuses k < 1
+    j = max(1, min(k, 9))
+    systems = math.comb(3 * j + 2, 2 * j - 1)
+    if systems > VERTEX_MAX_SYSTEMS:
+        raise ResourceLimitError(
+            f"vertices(k={k}) would solve {'more than ' if k > j else ''}{systems} tight systems, "
+            f"over the bound VERTEX_MAX_SYSTEMS = {VERTEX_MAX_SYSTEMS}"
+        )
     poly = _system(k)
     dim = poly.dim_ambient
     found = set()

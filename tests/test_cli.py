@@ -38,10 +38,32 @@ def test_classify_json_schema(capsys):
     assert weight_from_json(payload["weight"]) == Weight(SuperParams(2, 1), (0, 0, 0))
 
 
-def test_classify_non_dominant_exits_2(capsys):
-    code, _, err = run(capsys, "classify", "--m", "2", "--n", "1", "--weight", "0,1,0")
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["invariants", "--kind", "simple"], ["invariants", "--kind", "kac", "--verify"]],
+    ids=["classify", "invariants-simple", "invariants-kac-verify"],
+)
+def test_classify_non_dominant_exits_2(capsys, argv):
+    # the message is the library's own, from the first call that needs dominance
+    code, out, err = run(capsys, *argv, "--m", "2", "--n", "1", "--weight", "0,1,0")
     assert code == 2
-    assert "not dominant" in err
+    assert out == ""
+    assert err == "glsuper: weight (0,1|0) is not dominant\n"
+
+
+@pytest.mark.parametrize(
+    "argv, weight",
+    [
+        (["invariants", "--m", "1", "--n", "1", "--kind", "kac", "--verify"], "-1,1"),
+        (["classify", "--m", "2", "--n", "1"], "-1,-2,3"),
+        (["resolve", "--target", "kac", "--depth", "3"], "-2"),
+    ],
+)
+def test_negative_weight_is_a_value(capsys, argv, weight):
+    # argparse takes "-1,1" for an option unless the parser reads it as a value
+    code, out, err = run(capsys, *argv, "--weight", weight)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *argv, f"--weight={weight}") == (code, out, err)
 
 
 def test_classify_malformed_weight_exits_64(capsys):
@@ -559,9 +581,22 @@ def test_reruns_are_byte_identical(argv):
         ),
         (lambda: gl11_minimal_resolution("kac", 0, 26), "depth 26 exceeds MAX_DEPTH = 25"),
         (lambda: kl_poly_gl11(0, 26), "pair separation 26 needs resolution depth beyond MAX_DEPTH = 25"),
+        # the vertex solve of k = 9 would take hours, and k = 6 about a minute
+        (lambda: polytope.vertices(6), "vertices(k=6) would solve 167960 tight systems, over the bound"),
+        *(
+            (call, "vertices(k=9) would solve 51895935 tight systems, over the bound VERTEX_MAX_SYSTEMS = 25000")
+            for call in (
+                lambda: polytope.vertices(9),
+                lambda: polytope.polytope_denominator(9),
+                lambda: polytope.fit_quasipolynomial({1: 1}, 9),
+            )
+        ),
+        (lambda: polytope.vertices(10**9), "would solve more than 51895935 tight systems"),
     ],
 )
 def test_resource_limit_messages_name_their_bound(call, message):
+    start = time.perf_counter()
     with pytest.raises(ResourceLimitError) as info:
         call()
+    assert time.perf_counter() - start < 1
     assert message in str(info.value)

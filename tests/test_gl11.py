@@ -120,6 +120,17 @@ def test_ext_values():
         assert nonzero == [d]
         # consistency with the degree constraint of the Ext window
         assert ext_degree_constraint(Weight.zero(P11), Weight(P11, (d, -d)), d)
+    # the window bounds Ext from Kac modules: it holds on every summand of
+    # each K(lam) resolution ...
+    for lam in range(-3, 4):
+        trace = gl11_minimal_resolution("kac", lam, 10)
+        for d in range(11):
+            for mu in trace.degrees[d]:
+                assert ext_degree_constraint(Weight(P11, (lam, -lam)), Weight(P11, (mu, -mu)), d)
+    # ... but not on those of the simple modules: L(0) has P(-1) in degree 1
+    simple = gl11_minimal_resolution("simple", 0, 1)
+    assert gl11_ext(simple, -1, 1) == 1
+    assert not ext_degree_constraint(Weight.zero(P11), Weight(P11, (-1, 1)), 1)
 
 
 def test_ext_insufficient_depth():

@@ -103,6 +103,18 @@ def test_k1_degenerate_point():
     b, a = point
     assert b - 2 * a == 1
     assert a <= b
+    # the k=1 polytope is a segment, not a point: (-1, -1) is its one lattice
+    # point at d = 1, and the d-dilations hold more than one from d = 4 on
+    assert vertices(1) == ((-1, -1), (Fraction(-1, 2), Fraction(-3, 4)))
+    assert [brute_force_count(1, d) for d in range(1, 9)] == [1, 1, 1, 2, 2, 2, 2, 3]
+    assert [d for d in range(1, 9) if polytope._system(1).satisfies(point, dilation=d)] == [1]
+
+
+@pytest.mark.parametrize("call", [vertices, polytope_denominator, lambda k: brute_force_count(k, 3)])
+@pytest.mark.parametrize("k", [0, -1])
+def test_polytope_needs_positive_k(call, k):
+    with pytest.raises(DomainError, match=f"needs k >= 1, got k={k}"):
+        call(k)
 
 
 def test_enumeration_matches_box_scan():
