@@ -28,6 +28,12 @@ from .weights import (
 CAUCHY_MAX_K = 4
 CAUCHY_MAX_D = 30
 
+# partitions_at_most_k_parts(i, k) takes i * min(i, k) steps and a row of i + 1
+# ints; measured on 2 CPUs with Python 3.11 at 0.10 to 0.19 s for 2,000,000
+# steps ((20000, 100), (1414, 1414), (2000000, 1)).  Cauchy-sized arguments
+# (i <= CAUCHY_MAX_D, k <= CAUCHY_MAX_K) take at most 120.
+PARTITIONS_MAX_WORK = 2_000_000
+
 # weyl_dim_gl on r entries multiplies F = r(r-1)/2 factors of at most b bits
 # into one numerator that grows by b bits a factor, so it takes about
 # F^2 * b * max(b, 64) steps: linear in the numerator's size while a factor
@@ -128,10 +134,18 @@ def partitions_at_most_k_parts(i: int, k: int) -> int:
     """Number of partitions of i into at most k parts.
 
     Bottom-up p(j, parts) = p(j, parts-1) + p(j-parts, parts), so the cost is
-    O(k*i) and independent of the call order.
+    O(i * min(i, k)), since no partition of i has more than i parts, and
+    independent of the call order.  Work over PARTITIONS_MAX_WORK is refused.
     """
     if i < 0 or k < 0:
         raise DomainError("arguments must be nonnegative")
+    work = i * max(min(i, k), 1)
+    if work > PARTITIONS_MAX_WORK:
+        raise ResourceLimitError(
+            f"partitions of {i} into at most {k} parts take {work} steps, "
+            f"over the bound PARTITIONS_MAX_WORK = {PARTITIONS_MAX_WORK}"
+        )
+    k = min(i, k)
     row = [1] + [0] * i
     for parts in range(1, k + 1):
         for j in range(parts, i + 1):

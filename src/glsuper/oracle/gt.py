@@ -11,10 +11,11 @@ lowering terms correspond to the zero vector.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate, chain, count, product, repeat
+from operator import add, attrgetter, eq, lshift, mul, neg, sub
 
 from .._record import Record
 from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
@@ -45,6 +46,20 @@ def super_bracket_units(m: int, left: Unit, right: Unit) -> list[tuple[Unit, int
     return terms
 
 
+def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction, ...]] | None:
+    """Per basis vector, its eigenvalues under the diagonal units E_ss in order of s.
+
+    None when some E_ss has a nonzero entry off the diagonal.
+    """
+    diags = []
+    for unit in sorted(u for u in actions if u[0] == u[1]):
+        cols = actions[unit]
+        if any(i != j and val for j, col in enumerate(cols) for i, val in col.items()):
+            return None
+        diags.append(map(dict.get, cols, count(), repeat(0)))
+    return list(zip(*diags))
+
+
 def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> None:
     """Exact superbracket relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
 
@@ -52,10 +67,113 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
     exactly when this one does.  The check runs in integers: with D the lcm
     of all entry denominators and X' = D X, the relation holds exactly when
-    X'Y' - (-1)^{|X||Y|} Y'X' - D [X, Y]' = 0, which is D^2 times it.  The
-    three terms of a pair are summed into one table keyed by i * dim + j.
+    X'Y' - (-1)^{|X||Y|} Y'X' - D [X, Y]' = 0, which is D^2 times it.
+
+    Graded actions (see _weight_slots) need no product for a pair with a
+    diagonal unit H = E_ss: for X = E_ab, (HX - XH - [H, X])[i, j] = (h_i -
+    h_j - delta_sa + delta_sb) X[i, j] vanishes by the grading, and diagonal
+    units commute.  Every other pair is checked on packed columns: column j
+    of X' becomes the int sum of X'[i, j] 2^(W pos(i)), pos(i) the index of
+    i inside its weight space, so column j of X'Y' is the sum of Y'[k, j]
+    times packed column k of X'.  All entries of column j of the difference
+    lie in one weight space, so each has a slot of its own.  A product
+    entry sums over one weight space, so each entry of the difference is at
+    most B = 2 S top^2 + 2 D top in absolute value, S the largest weight
+    space dimension and top the largest scaled entry.  With W =
+    B.bit_length() + 1 a packed column is zero exactly when its entries are:
+    if c is its lowest nonzero entry, in slot p, the sum is 2^(W p) (c + 2^W
+    q) for an int q, and 0 < |c| < 2^W.  Other actions go through the
+    general _check_by_table.
     """
-    scale = math.lcm(*{val.denominator for cols in actions.values() for col in cols for val in col.values()})
+    entries = chain.from_iterable(map(dict.values, chain.from_iterable(actions.values())))
+    scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
+    slots = _weight_slots(actions, dim)
+    if slots is None:
+        _check_by_table(actions, dim, m, scale)
+        return
+    # per unit, its entries in column order: row indices, entries scaled by D,
+    # and where each column ends among them
+    flat = {
+        unit: (list(chain.from_iterable(cols)),
+               [val.numerator * (scale // val.denominator) for val in chain.from_iterable(map(dict.values, cols))],
+               list(accumulate(map(len, cols))))
+        for unit, cols in actions.items()
+    }
+    top = max((max(map(abs, vals), default=0) for _, vals, _ in flat.values()), default=0)
+    width = (2 * (max(slots, default=0) + 1) * top * top + 2 * scale * top).bit_length() + 1
+    shifts = [width * slot for slot in slots]
+
+    def running_sums(terms, ends: list[int]) -> list[int]:
+        """Per column j, the sum of the terms of columns 0..j."""
+        acc = list(accumulate(terms, initial=0))
+        return list(map(acc.__getitem__, ends))
+
+    # per unit, its packed columns, and their running sums times D for the
+    # [X, Y] side of a relation
+    packed, bracket_sums = {}, {}
+    for unit, (rows, vals, ends) in flat.items():
+        sums = running_sums(map(lshift, vals, map(shifts.__getitem__, rows)), ends)
+        packed[unit] = list(map(sub, sums, [0] + sums[:-1]))
+        bracket_sums[unit] = list(map(mul, repeat(scale), sums))
+
+    # columns are compared through their running sums, which agree for every
+    # j exactly when the columns do
+    def packed_product(left: Unit, right: Unit) -> list[int]:
+        """Running sums of the packed columns of left' right'."""
+        rows, vals, ends = flat[right]
+        return running_sums(map(mul, vals, map(packed[left].__getitem__, rows)), ends)
+
+    units = [unit for unit in sorted(actions) if unit[0] != unit[1]]
+    for pos, left in enumerate(units):
+        for right in units[pos:]:
+            sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
+            if right == left and sign == 1:
+                continue
+            lhs = packed_product(left, right)
+            rhs = lhs if right == left else packed_product(right, left)
+            if sign == -1:
+                rhs = map(neg, rhs)
+            for unit, coeff in super_bracket_units(m, left, right):  # coeff is 1 or -1
+                rhs = map(add if coeff == 1 else sub, rhs, bracket_sums[unit])
+            if lhs != list(rhs):
+                raise InternalCheckError(f"bracket relation fails for {left}, {right}")
+
+
+def _weight_slots(actions: dict[Unit, SparseCols], dim: int) -> list[int] | None:
+    """Each basis vector's index inside its weight space, or None unless the actions are graded.
+
+    Graded means that every E_ss acts diagonally with integral eigenvalues
+    and that every unit E_ab maps each basis vector of weight mu into the
+    span of those of weight mu + e_a - e_b.
+    """
+    weights = basis_weights(actions)
+    if weights is None or len(weights) != dim or any(type(x) is not int for w in weights for x in w):
+        return None
+    # weight w has key sum(w_s base^t), t the position of s among the diagonal
+    # units; base exceeds twice every |w_s| + 1, so keys of weights and of
+    # their shifts by e_a - e_b are equal only for equal vectors
+    base = 2 * max((abs(x) for w in weights for x in w), default=0) + 3
+    power = {s: base ** t for t, (s, _) in enumerate(sorted(u for u in actions if u[0] == u[1]))}
+    keys = [sum(map(mul, w, power.values())) for w in weights]
+    for (a, b), cols in actions.items():
+        rows = list(chain.from_iterable(cols))
+        if len(cols) != dim or rows and not 0 <= min(rows) <= max(rows) < dim:
+            return None
+        column_keys = map(keys.__getitem__, chain.from_iterable(map(repeat, range(dim), map(len, cols))))
+        targets = map(add, column_keys, repeat(power.get(a, 0) - power.get(b, 0)))
+        if not all(map(eq, map(keys.__getitem__, rows), targets)):
+            return None
+    spaces: dict[int, int] = defaultdict(int)
+    slots = []
+    for key in keys:
+        slots.append(spaces[key])
+        spaces[key] += 1
+    return slots
+
+
+def _check_by_table(actions: dict[Unit, SparseCols], dim: int, m: int, scale: int) -> None:
+    """check_super_brackets for any actions: the three terms of a pair summed into
+    one table keyed by i * dim + j."""
     # per unit, its nonzero columns scaled by D as (j, [(i * dim, D * entry), ...]),
     # and the same lists keyed by j * dim, where a row key of another unit finds them
     nonzero = {
@@ -116,7 +234,7 @@ class GTPattern(Record):
 
 def _interlacing_rows(upper: tuple[int, ...]) -> list[tuple[int, ...]]:
     ranges = [range(upper[i + 1], upper[i] + 1) for i in range(len(upper) - 1)]
-    return [tuple(vals) for vals in itertools.product(*ranges)]
+    return [tuple(vals) for vals in product(*ranges)]
 
 
 def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:

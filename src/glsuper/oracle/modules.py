@@ -26,6 +26,7 @@ from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse
 from ..weights import SuperParams, Weight, require_dominant
 from .gt import (
     Unit,
+    basis_weights,
     check_super_brackets,
     gl_simple,
     super_bracket_units,
@@ -37,11 +38,11 @@ from .gt import (
 # the check multiplies (m+n)^2 pairs of matrix units, the nonzeros per
 # column summed over all units grow like m+n, and larger Gelfand-Tsetlin
 # models carry larger denominators, so the check scales to larger integers.
-# Measured on 2 CPUs with Python 3.11 at up to 4.6 us per step: gl(4|3) K(0),
-# 1,404,928 steps, 6.5 s; gl(6|2) K(0), 2,097,152 steps, 8.5 s; gl(3|1)
-# K(11,5,0|0), 1,257,984 steps, 0.7 s; gl(11|1) K(0), 3,538,944 steps,
-# 6.7 s; gl(3|1) K(25,12,0|0), 15,095,808 steps, 10 s.  At the slowest rate
-# the bound is about 10 s, a sixth of the 60 s limit of one benchmark op.
+# Measured on 2 CPUs with Python 3.11 at up to 1.9 us per step: gl(4|3) K(0),
+# 1,404,928 steps, 2.3 s; gl(6|2) K(0), 2,097,152 steps, 3.9 s; gl(3|1)
+# K(11,5,0|0), 1,257,984 steps, 0.5 s; gl(11|1) K(0), 3,538,944 steps,
+# 4.4 s; gl(3|1) K(25,12,0|0), 15,095,808 steps, 7.8 s.  At the slowest rate
+# the bound is about 4 s, a fifteenth of the 60 s limit of one benchmark op.
 KAC_MAX_COST = 2_100_000
 
 OddElement = tuple[tuple[Unit, int], ...]
@@ -83,16 +84,11 @@ class MatrixModule(Record, frozen=False):
 
     def weight_diagonal(self) -> list[tuple[int, ...]]:
         """Per basis vector, the eigenvalue tuple of the diagonal units E_ii."""
-        diags = []
-        for s in range(1, self.params.rank + 1):
-            diag = []
-            for j, col in enumerate(self.actions[(s, s)]):
-                if any(i != j and val for i, val in col.items()):
-                    raise DomainError("Cartan action is not diagonal")
-                diag.append(col.get(j, 0))
-            diags.append(diag)
+        weights = basis_weights(self.actions)
+        if weights is None:
+            raise DomainError("Cartan action is not diagonal")
         out = []
-        for entry in zip(*diags):
+        for entry in weights:
             if any(v != int(v) for v in entry):
                 raise InternalCheckError(f"weight {entry} is not integral")
             out.append(tuple(int(v) for v in entry))

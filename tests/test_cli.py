@@ -592,6 +592,15 @@ def test_reruns_are_byte_identical(argv):
             )
         ),
         (lambda: polytope.vertices(10**9), "would solve more than 51895935 tight systems"),
+        # (3 * 10**5, 300) took 12.6 s before the guard
+        (
+            lambda: dimensions.partitions_at_most_k_parts(3 * 10**5, 300),
+            "take 90000000 steps, over the bound PARTITIONS_MAX_WORK = 2000000",
+        ),
+        (
+            lambda: dimensions.partitions_at_most_k_parts(10**9, 10**9),
+            "take 1000000000000000000 steps, over the bound PARTITIONS_MAX_WORK = 2000000",
+        ),
     ],
 )
 def test_resource_limit_messages_name_their_bound(call, message):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,14 @@ def test_partitions_small_values():
     assert partitions_at_most_k_parts(0, 3) == 1
     assert partitions_at_most_k_parts(5, 2) == 3
     assert partitions_at_most_k_parts(6, 3) == 7
+
+
+def test_partitions_clamp_parts_to_the_number():
+    # no partition of i has more than i parts: (5, 10**8) looped 10**8 times
+    start = time.perf_counter()
+    assert partitions_at_most_k_parts(5, 10**9) == 7
+    assert partitions_at_most_k_parts(5, 10**8) == partitions_at_most_k_parts(5, 5)
+    assert time.perf_counter() - start < 1
 
 
 def test_partitions_match_enumeration_oracle():

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import glsuper
 import slow_modules
 from glsuper.dimensions import projective_dim_bounds, weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
-from glsuper.oracle import modules
+from glsuper.oracle import gt, modules
+from glsuper.oracle.gl11 import gl11_kac, gl11_projective
 from glsuper.oracle.gt import check_super_brackets, gl_simple, super_bracket_units
 from glsuper.oracle.modules import (
     KAC_MAX_COST,
@@ -31,7 +33,7 @@ from glsuper.oracle.modules import (
     trivial_module,
     trivial_summand_check,
 )
-from glsuper.ratlinalg import exact, sparse_rank
+from glsuper.ratlinalg import exact, sparse_mul, sparse_rank
 from glsuper.weights import SuperParams, Weight
 
 P11 = SuperParams(1, 1)
@@ -112,8 +114,8 @@ def test_kac_scale_guard_fires_before_any_work(monkeypatch):
 
     monkeypatch.setattr(modules, "gl_simple", no_work)
     # gl(4|3) K(1,0,0,0|0,0,0): dimension 2^12 * 4, cost 7^3 * 16384 * 3;
-    # gl(12|1) K(0): cost 13^3 * 4096 (19 s measured); gl(3|1) K(25,12,0|0):
-    # dimension 8 * 2457, cost 4^3 * 19656 * 12 (10 s measured)
+    # gl(12|1) K(0): cost 13^3 * 4096 (12 s measured); gl(3|1) K(25,12,0|0):
+    # dimension 8 * 2457, cost 4^3 * 19656 * 12 (7.8 s measured)
     refused = (
         (Weight(SuperParams(4, 3), (1, 0, 0, 0, 0, 0, 0)), 16384, 16859136),
         (Weight.zero(SuperParams(12, 1)), 4096, 8998912),
@@ -154,7 +156,7 @@ def test_weyl_work_guard_fires_before_the_weyl_formula(monkeypatch, build):
 
 
 def test_kac_cost_guard_admits_measured_modules():
-    # gl(4|3) K(0) (6.5 s measured), gl(6|2) K(0) (8.5 s), the suite's
+    # gl(4|3) K(0) (2.3 s measured), gl(6|2) K(0) (3.9 s), the suite's
     # largest module gl(3|3) K(0), and the dimension-192 gl(3|2) modules of
     # the benchmark's modules workload
     admitted = (
@@ -192,8 +194,51 @@ def test_odd_square_alone_rejected():
         MatrixModule(P11, 3, actions, (0, 1, 0))
 
 
+def conjugated(module, s_cols, s_inv_cols):
+    """The same module in another basis: every unit X becomes S X S^-1."""
+    actions = {
+        unit: [{i: exact(v) for i, v in col.items()} for col in sparse_mul(sparse_mul(s_cols, cols), s_inv_cols)]
+        for unit, cols in module.actions.items()
+    }
+    return MatrixModule(module.params, module.dim, actions, module.parity)
+
+
+def joined_basis(module):
+    # S = I + E_01 adds basis vector 0 to vector 1; both are even, of weights (1,0|0) and (0,1|0)
+    identity = [{j: 1} for j in range(module.dim)]
+    return conjugated(module, [{0: 1}, {0: 1, 1: 1}, *identity[2:]], [{0: 1}, {0: -1, 1: 1}, *identity[2:]])
+
+
+def rescaled_basis(module):
+    # S = diag(2^(40 (i mod 3))): entries up to 2^80 and denominators up to 2^80
+    scales = [2 ** (40 * (i % 3)) for i in range(module.dim)]
+    return conjugated(
+        module, [{j: c} for j, c in enumerate(scales)], [{j: Fraction(1, c)} for j, c in enumerate(scales)]
+    )
+
+
+def test_column_errors_do_not_cancel_across_slots():
+    # gl(2) on the weight spaces (1,0) = <v0, v1> and (0,1) = <v2, v3>, with
+    # E21 = I and E12 = A = [[-7, 0], [1, 1]] between them: XY - YX - [X, Y] for
+    # (E12, E21) is A - I on one space and I - A on the other, both with the
+    # column (-8, 1), whose packed int -8 + 1 * 2^3 vanishes in slots as wide
+    # as the largest entry 7 alone
+    actions = {
+        (1, 1): [{0: 1}, {1: 1}, {}, {}],
+        (2, 2): [{}, {}, {2: 1}, {3: 1}],
+        (1, 2): [{}, {}, {0: -7, 1: 1}, {1: 1}],
+        (2, 1): [{2: 1}, {3: 1}, {}, {}],
+    }
+    assert gt.basis_weights(actions) == [(1, 0), (1, 0), (0, 1), (0, 1)]
+    for check in (check_super_brackets, slow_modules.check_super_brackets):
+        with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(2, 1\)$"):
+            check(actions, 4, 2)
+
+
 # (actions, dim, m) of valid modules: Kac and dual Kac modules, some with
-# fractional entries, and Gelfand-Tsetlin models of simple gl(r) modules
+# fractional entries, Gelfand-Tsetlin models of simple gl(r) modules, and
+# two Kac modules in other bases: one where the E_ss are not diagonal, and
+# one with very large entries and denominators
 BRACKET_CASES = {
     "gl11 K(0)": lambda: kac_module(Weight.zero(P11)),
     "gl11 dual K(2|-1)": lambda: dual_kac_module(Weight(P11, (2, -1))),
@@ -206,6 +251,10 @@ BRACKET_CASES = {
     "gl3 L(2,1,0)": lambda: gl_simple(3, (2, 1, 0)),
     "gl4 L(1,0,0,0)": lambda: gl_simple(4, (1, 0, 0, 0)),
     "gl2 L(4,-4)": lambda: gl_simple(2, (4, -4)),
+    "gl21 K(1,0|0) joined basis": lambda: joined_basis(kac_module(Weight(P21, (1, 0, 0)))),
+    "gl32 K(1,0,0|0,0) rescaled basis": lambda: rescaled_basis(
+        kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)))
+    ),
 }
 
 
@@ -256,6 +305,41 @@ def test_integer_bracket_check_matches_slow_oracle(data):
     assert fast == bracket_outcome(slow_modules.check_super_brackets, actions, dim, m)
     if kind == "none":
         assert fast is None
+
+
+def test_joined_basis_is_not_graded():
+    # conjugating by I + E_01 mixes two weight spaces, so E_11 is no longer diagonal
+    module = BRACKET_CASES["gl21 K(1,0|0) joined basis"]()
+    assert gt.basis_weights(module.actions) is None
+    with pytest.raises(DomainError, match="Cartan action is not diagonal"):
+        module.weight_diagonal()
+
+
+def test_weight_diagonal_refuses_non_integral_weights():
+    # the one-dimensional gl(1|1)-module of weight (1/2 | -1/2) passes its
+    # bracket check, through the table loop, but has no integral weight
+    half = Fraction(1, 2)
+    module = MatrixModule(P11, 1, {(1, 1): [{0: half}], (2, 2): [{0: -half}], (1, 2): [{}], (2, 1): [{}]}, (0,))
+    with pytest.raises(InternalCheckError, match="is not integral"):
+        module.weight_diagonal()
+
+
+def test_package_modules_never_take_the_table_loop(monkeypatch):
+    # the table loop is for actions that are not weight graded; every module
+    # the package builds is graded, so the packed check covers all of them
+    def no_table(*args):
+        raise AssertionError("the bracket check fell back to the table loop")
+
+    monkeypatch.setattr(gt, "_check_by_table", no_table)
+    kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)))
+    dual_kac_module(Weight(P22, (1, 0, 0, -1)))
+    gl_simple(3, (2, 1, 0))
+    gl_simple(2, (4, -4)).check_brackets()
+    gl11_kac(2)
+    gl11_projective(-1)
+    # the patch is live: a module in a non-weight basis does reach it
+    with pytest.raises(AssertionError, match="fell back"):
+        joined_basis(kac_module(Weight(P21, (1, 0, 0))))
 
 
 def entry_types(actions):
