@@ -9,6 +9,7 @@ fields, which are labeled as such.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
@@ -77,18 +78,23 @@ def _gather_weights(params: SuperParams, args, weyl: bool = False) -> list[Weigh
             f"--sample {args.sample} exceeds SAMPLE_MAX = {SAMPLE_MAX} weights"
         )
     weights = [_parse_weight(params, text) for text in args.weight or []]
+    lines: list[tuple[int, str]] = []
     path = args.weights_file
     if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
-                for lineno, line in enumerate(handle, 1):
-                    line = line.strip()
-                    if line:
-                        weights.append(_parse_weight(params, line, f"{path}:{lineno}: "))
+                # read up to the first weight over SAMPLE_MAX, and parse none before the count
+                numbered = ((lineno, line.strip()) for lineno, line in enumerate(handle, 1) if line.strip())
+                lines = list(itertools.islice(numbered, max(SAMPLE_MAX + 1 - args.sample - len(weights), 0)))
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"cannot read --weights-file {path}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise argparse.ArgumentTypeError(f"--weights-file {path} is not UTF-8: {exc.reason}") from exc
+    if len(weights) + len(lines) + args.sample > SAMPLE_MAX:
+        raise ResourceLimitError(
+            f"--weight, --weights-file and --sample give more than SAMPLE_MAX = {SAMPLE_MAX} weights"
+        )
+    weights += [_parse_weight(params, line, f"{path}:{lineno}: ") for lineno, line in lines]
     if weyl:
         # no sampled weight spreads wider than this one on either side
         widest = Weight(params, tuple(

@@ -7,6 +7,10 @@ Fraction otherwise, stored in sparse columns.  Targets that
 leave the pattern lattice are dropped, which is consistent because the
 numerators vanish on the boundary in the raising direction and the dropped
 lowering terms correspond to the zero vector.
+
+check_super_brackets tests the superbracket relations of any such sparse
+actions exactly: on weight-packed columns when the actions are weight
+graded, and pair by pair with sparse products otherwise.
 """
 
 from __future__ import annotations
@@ -82,14 +86,14 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     space dimension and top the largest scaled entry.  With W =
     B.bit_length() + 1 a packed column is zero exactly when its entries are:
     if c is its lowest nonzero entry, in slot p, the sum is 2^(W p) (c + 2^W
-    q) for an int q, and 0 < |c| < 2^W.  Other actions go through the
-    general _check_by_table.
+    q) for an int q, and 0 < |c| < 2^W.  Other actions are checked pair by
+    pair with sparse products of the scaled columns, in _check_by_products.
     """
     entries = chain.from_iterable(map(dict.values, chain.from_iterable(actions.values())))
     scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
     slots = _weight_slots(actions, dim)
     if slots is None:
-        _check_by_table(actions, dim, m, scale)
+        _check_by_products(actions, dim, m, scale)
         return
     # per unit, its entries in column order: row indices, entries scaled by D,
     # and where each column ends among them
@@ -171,41 +175,24 @@ def _weight_slots(actions: dict[Unit, SparseCols], dim: int) -> list[int] | None
     return slots
 
 
-def _check_by_table(actions: dict[Unit, SparseCols], dim: int, m: int, scale: int) -> None:
-    """check_super_brackets for any actions: the three terms of a pair summed into
-    one table keyed by i * dim + j."""
-    # per unit, its nonzero columns scaled by D as (j, [(i * dim, D * entry), ...]),
-    # and the same lists keyed by j * dim, where a row key of another unit finds them
-    nonzero = {
-        unit: [(j, [(i * dim, val.numerator * (scale // val.denominator)) for i, val in col.items()])
-               for j, col in enumerate(cols) if col]
+def _check_by_products(actions: dict[Unit, SparseCols], dim: int, m: int, scale: int) -> None:
+    """check_super_brackets for any actions: X'Y' = (-1)^{|X||Y|} Y'X' + D [X, Y]'
+    per pair, by sparse products of the columns scaled by D."""
+    scaled = {
+        unit: [{i: val.numerator * (scale // val.denominator) for i, val in col.items()} for col in cols]
         for unit, cols in actions.items()
     }
-    by_col = {unit: {j * dim: entries for j, entries in cols} for unit, cols in nonzero.items()}
-
-    def add_product(table: dict[int, int], left: Unit, right: Unit, coeff: int) -> None:
-        left_cols = by_col[left]
-        for j, entries in nonzero[right]:
-            for k, right_val in entries:
-                scaled = coeff * right_val
-                for i, left_val in left_cols.get(k, ()):
-                    table[i + j] += scaled * left_val
-
     units = sorted(actions)
     for pos, left in enumerate(units):
         for right in units[pos:]:
             sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
-            table: dict[int, int] = defaultdict(int)
-            if right != left:
-                add_product(table, left, right, 1)
-                add_product(table, right, left, -sign)
-            elif sign == -1:
-                add_product(table, left, left, 2)
-            for unit, coeff in super_bracket_units(m, left, right):
-                for j, entries in nonzero[unit]:
-                    for i, val in entries:
-                        table[i + j] -= scale * coeff * val
-            if any(table.values()):
+            if right == left and sign == 1:
+                continue
+            xy = sparse_mul(scaled[left], scaled[right])
+            yx = xy if right == left else sparse_mul(scaled[right], scaled[left])
+            terms = [(scaled[unit], scale * coeff) for unit, coeff in super_bracket_units(m, left, right)]
+            # products and sums keep no zero entries, so columns compare as dicts
+            if xy != (yx if sign == 1 and not terms else sparse_add_scaled([(yx, sign), *terms], dim)):
                 raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 

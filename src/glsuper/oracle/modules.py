@@ -5,10 +5,10 @@ together with a parity label per basis vector.  Each matrix is stored as
 sparse columns (column j maps row i to a nonzero entry), with int entries
 wherever they are integral.  Kac modules are built on the exterior algebra
 of one odd side tensored with a Gelfand-Tsetlin model of the even simple
-module.  The wedge side acts by exterior multiplication; every other unit x
-follows one straightening rule, x (w ^ r) = [x, w] r + (-1)^{|x|} w ^ (x r),
-which reads columns built before: [x, w] is a wedge unit for even x and an
-even unit for the opposite odd side, and r has fewer exterior factors.
+module.  Every unit x follows one straightening rule, x (w ^ r) = [x, w] r +
+(-1)^{|x|} w ^ (x r), which reads columns built before: [x, w] is 0 for x on
+the wedge side, a wedge unit for even x and an even unit for the opposite
+odd side, and r has fewer exterior factors.
 Every constructed module is validated against the full set of superbracket
 relations.
 """
@@ -166,21 +166,17 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
         for s in subsets
     ]
 
-    action_cols: dict[Unit, SparseCols] = {}
-    for t, unit in enumerate(wedge_units):
-        cols = [dict() for _ in range(dim)]
-        for s_idx, into in enumerate(wedge_into):
-            if t in into:
-                target, sign = into[t]
-                for u in range(dim_l0):
-                    cols[s_idx * dim_l0 + u] = {target * dim_l0 + u: sign}
-        action_cols[unit] = cols
-
     # x (w_head ^ rest) = [x, w_head] rest + (-1)^{|x|} w_head ^ (x rest) on the basis
-    # vector (head, rest..., u).  [x, w_head] is a wedge unit for even x and an even
-    # unit for straight x, built before x; subsets grow, so x rest is built too.
-    for x_unit in even_units + straight_units:
-        if unit_parity(m, x_unit):
+    # vector (head, rest..., u).  [x, w_head] is 0 for a wedge unit x, a wedge unit
+    # for even x and an even unit for straight x, built before x; subsets grow, so
+    # x rest is built too.  On 1 ^ u a wedge unit w_t gives w_t ^ u, a straight
+    # unit 0, and an even unit its action on L0.
+    action_cols: dict[Unit, SparseCols] = {}
+    for x_unit in wedge_units + even_units + straight_units:
+        if x_unit in wedge_units:
+            single = subset_index[(wedge_units.index(x_unit),)]
+            x_sign, bracket_side, cols = -1, even_units, [{single * dim_l0 + u: 1} for u in range(dim_l0)]
+        elif x_unit in straight_units:
             x_sign, bracket_side, cols = -1, even_units, [dict() for _ in range(dim_l0)]
         else:
             x_sign, bracket_side, cols = 1, wedge_units, _g0_unit_cols(params, left_rep, right_rep, x_unit)

@@ -204,21 +204,17 @@ def check_pair_conditions(pair: tuple[Weight, Weight], d: int, params: SuperPara
     """The k>1 pair conditions: order, length window, the degree-halving equality, and gaps.
 
     The Bruhat comparisons are transported through the block bijection, where
-    the principal-block coordinate criterion applies.
+    the principal-block coordinate criterion applies.  For k = 1 no pair of
+    build_S meets them (sigma <= nu needs a <= n - 1 < 2d/3, and the halving
+    needs a negative length), so k < 2 is refused.
     """
+    if k < 2:
+        raise DomainError(f"the pair conditions need atypicality k >= 2, got k={k}")
     mu, sigma = pair
-    if k >= 2:
-        x_mu = _recover_zeta_vector(mu, params, k)
-        x_sigma = _recover_zeta_vector(sigma, params, k)
-        sigma_leq_mu = all(s <= m for s, m in zip(x_sigma, x_mu))
-        sigma_leq_nu = all(s <= 0 for s in x_sigma)
-    else:
-        a_mu, a_sigma = mu.coeffs[0], sigma.coeffs[0]
-        if mu.coeffs != _mu_a_coeffs(params, a_mu) or sigma.coeffs != _mu_a_coeffs(params, a_sigma):
-            raise DomainError("pair is not in the mu^(a) family")
-        phi_mu, phi_sigma = phi_k1(params, a_mu), phi_k1(params, a_sigma)
-        sigma_leq_mu = phi_sigma.coeffs[0] <= phi_mu.coeffs[0]
-        sigma_leq_nu = phi_sigma.coeffs[0] <= 0
+    x_mu = _recover_zeta_vector(mu, params, k)
+    x_sigma = _recover_zeta_vector(sigma, params, k)
+    sigma_leq_mu = all(s <= m for s, m in zip(x_sigma, x_mu))
+    sigma_leq_nu = all(s <= 0 for s in x_sigma)
     l_mu, l_sigma = length(mu), length(sigma)
     if not (sigma_leq_mu and sigma_leq_nu):
         return False

@@ -38,17 +38,27 @@ def test_classify_json_schema(capsys):
     assert weight_from_json(payload["weight"]) == Weight(SuperParams(2, 1), (0, 0, 0))
 
 
+NON_DOMINANT = ["--m", "2", "--n", "1", "--weight", "0,1,0"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["classify"], ["invariants", "--kind", "simple"], ["invariants", "--kind", "kac", "--verify"]],
-    ids=["classify", "invariants-simple", "invariants-kac-verify"],
+    "argv, message",
+    [
+        (["classify", *NON_DOMINANT], "weight (0,1|0) is not dominant"),
+        (["invariants", "--kind", "simple", *NON_DOMINANT], "weight (0,1|0) is not dominant"),
+        (["invariants", "--kind", "kac", "--verify", *NON_DOMINANT], "weight (0,1|0) is not dominant"),
+        (["ehrhart", "--k", "2", "--dmin", "5", "--dmax", "3"], "need 1 <= dmin <= dmax"),
+        (["classify", "--m", "2", "--n", "1"], "no weights given; use --weight, --weights-file, or --sample"),
+    ],
+    ids=["classify", "invariants-simple", "invariants-kac-verify", "ehrhart-dmin-over-dmax", "classify-no-weights"],
 )
-def test_classify_non_dominant_exits_2(capsys, argv):
-    # the message is the library's own, from the first call that needs dominance
-    code, out, err = run(capsys, *argv, "--m", "2", "--n", "1", "--weight", "0,1,0")
+def test_classify_non_dominant_exits_2(capsys, argv, message):
+    # a domain error exits 2 with the library's own message; for a weight that
+    # is not dominant, from the first call that needs dominance
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == "glsuper: weight (0,1|0) is not dominant\n"
+    assert err == f"glsuper: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -154,6 +164,29 @@ def test_classify_sample_guard_fires_before_sampling(capsys, monkeypatch):
     # the bound itself is admitted: sampling starts, and hits the patched generator
     with pytest.raises(_Refused):
         main(["classify", "--m", "4", "--n", "3", "--sample", str(glsuper.cli.SAMPLE_MAX)])
+
+
+def test_every_weight_counts_against_sample_max(capsys, monkeypatch, tmp_path):
+    # weights from --weight and --weights-file count with --sample; a file of
+    # SAMPLE_MAX + 1 weights is refused before any weight is parsed or classified
+    monkeypatch.setattr(glsuper.cli, "_classify_one", _refuse)
+    monkeypatch.setattr(glsuper.cli.random, "Random", _refuse)
+    bound = glsuper.cli.SAMPLE_MAX
+    message = f"glsuper: --weight, --weights-file and --sample give more than SAMPLE_MAX = {bound} weights\n"
+    params = ["classify", "--m", "4", "--n", "3"]
+    manifest = tmp_path / "weights.txt"
+    manifest.write_text("3,2,1,0,0,-1,-2\n\n" * (bound + 1))
+    start = time.perf_counter()
+    assert run(capsys, *params, "--weights-file", str(manifest)) == (2, "", message)
+    assert time.perf_counter() - start < 1
+    one, two = ["--weight", "0,0,0,0,0,0,0"], ["--weight", "0,0,0,0,0,0,0"] * 2
+    manifest.write_text("0,0,0,0,0,0,0\n")
+    for extra in (two, [*one, "--weights-file", str(manifest)]):
+        assert run(capsys, *params, *extra, "--sample", str(bound - 1)) == (2, "", message)
+    # the bound itself is admitted: sampling starts, and hits the patched generator
+    for extra in (one, ["--weights-file", str(manifest)]):
+        with pytest.raises(_Refused):
+            main([*params, *extra, "--sample", str(bound - 1)])
 
 
 HUGE = ",".join(str(10**4000 * (20 - i)) for i in range(20))

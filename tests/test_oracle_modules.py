@@ -183,15 +183,20 @@ def test_broken_bracket_rejected():
 
 def test_odd_square_alone_rejected():
     # E12 shifts v0 -> v1 -> v2 with E12^2 != 0, E21 = 0 and E11 = -E22 = diag(0, 1, 2):
-    # every relation holds except [E12, E12] = 0, which only the diagonal pair checks
+    # every relation holds except [E12, E12] = 0, which only the diagonal pair checks;
+    # in the basis v0, v1, v0 + v2 the E_ss are not diagonal, and the product loop checks it
     actions = {
         (1, 1): [{}, {1: 1}, {2: 2}],
         (2, 2): [{}, {1: -1}, {2: -2}],
         (1, 2): [{1: 1}, {2: 1}, {}],
         (2, 1): [{}, {}, {}],
     }
-    with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(1, 2\)$"):
-        MatrixModule(P11, 3, actions, (0, 1, 0))
+    s_cols, s_inv_cols = [{0: 1}, {1: 1}, {0: 1, 2: 1}], [{0: 1}, {1: 1}, {0: -1, 2: 1}]
+    joined = {unit: sparse_mul(sparse_mul(s_cols, cols), s_inv_cols) for unit, cols in actions.items()}
+    assert gt.basis_weights(joined) is None
+    for case in (actions, joined):
+        with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(1, 2\)$"):
+            MatrixModule(P11, 3, case, (0, 1, 0))
 
 
 def conjugated(module, s_cols, s_inv_cols):
@@ -237,8 +242,9 @@ def test_column_errors_do_not_cancel_across_slots():
 
 # (actions, dim, m) of valid modules: Kac and dual Kac modules, some with
 # fractional entries, Gelfand-Tsetlin models of simple gl(r) modules, and
-# two Kac modules in other bases: one where the E_ss are not diagonal, and
-# one with very large entries and denominators
+# Kac modules in other bases: two where the E_ss are not diagonal, one of
+# them at the benchmark's dimension 192, and one with very large entries and
+# denominators
 BRACKET_CASES = {
     "gl11 K(0)": lambda: kac_module(Weight.zero(P11)),
     "gl11 dual K(2|-1)": lambda: dual_kac_module(Weight(P11, (2, -1))),
@@ -252,6 +258,7 @@ BRACKET_CASES = {
     "gl4 L(1,0,0,0)": lambda: gl_simple(4, (1, 0, 0, 0)),
     "gl2 L(4,-4)": lambda: gl_simple(2, (4, -4)),
     "gl21 K(1,0|0) joined basis": lambda: joined_basis(kac_module(Weight(P21, (1, 0, 0)))),
+    "gl32 K(1,0,0|0,0) joined basis": lambda: joined_basis(kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)))),
     "gl32 K(1,0,0|0,0) rescaled basis": lambda: rescaled_basis(
         kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)))
     ),
@@ -317,7 +324,7 @@ def test_joined_basis_is_not_graded():
 
 def test_weight_diagonal_refuses_non_integral_weights():
     # the one-dimensional gl(1|1)-module of weight (1/2 | -1/2) passes its
-    # bracket check, through the table loop, but has no integral weight
+    # bracket check, through the product loop, but has no integral weight
     half = Fraction(1, 2)
     module = MatrixModule(P11, 1, {(1, 1): [{0: half}], (2, 2): [{0: -half}], (1, 2): [{}], (2, 1): [{}]}, (0,))
     with pytest.raises(InternalCheckError, match="is not integral"):
@@ -325,12 +332,12 @@ def test_weight_diagonal_refuses_non_integral_weights():
 
 
 def test_package_modules_never_take_the_table_loop(monkeypatch):
-    # the table loop is for actions that are not weight graded; every module
+    # the product loop is for actions that are not weight graded; every module
     # the package builds is graded, so the packed check covers all of them
-    def no_table(*args):
-        raise AssertionError("the bracket check fell back to the table loop")
+    def no_products(*args):
+        raise AssertionError("the bracket check fell back to the product loop")
 
-    monkeypatch.setattr(gt, "_check_by_table", no_table)
+    monkeypatch.setattr(gt, "_check_by_products", no_products)
     kac_module(Weight(SuperParams(3, 2), (1, 0, 0, 0, 0)))
     dual_kac_module(Weight(P22, (1, 0, 0, -1)))
     gl_simple(3, (2, 1, 0))
@@ -404,23 +411,34 @@ def test_malformed_layout_rejected():
         MatrixModule(P11, 1, outside, (0,))
 
 
+# E11 maps v1 to v0, so it is not diagonal and the check takes the product
+# loop; zero odd units break [E12, E21] = E11 + E22 there
+BROKEN_NOT_GRADED = {(1, 1): [{}, {0: 1}], (2, 2): [{}, {}], (1, 2): [{}, {}], (2, 1): [{}, {}]}
+
+
 def test_broken_module_rejected_under_optimize():
-    # the gates raise instead of asserting, so python -O keeps them
+    # the gates raise instead of asserting, so python -O keeps them, on the
+    # packed path and on the product loop alike
+    assert gt.basis_weights(BROKEN_GL11) is not None and gt.basis_weights(BROKEN_NOT_GRADED) is None
     script = (
         "from glsuper.errors import InternalCheckError\n"
         "from glsuper.oracle.modules import MatrixModule\n"
         "from glsuper.weights import SuperParams\n"
-        "try:\n"
-        f"    MatrixModule(SuperParams(1, 1), 1, {BROKEN_GL11!r}, (0,))\n"
-        "except InternalCheckError as exc:\n"
-        "    print('rejected:', exc)\n"
+        f"for dim, actions in ((1, {BROKEN_GL11!r}), (2, {BROKEN_NOT_GRADED!r})):\n"
+        "    try:\n"
+        "        MatrixModule(SuperParams(1, 1), dim, actions, (0,) * dim)\n"
+        "    except InternalCheckError as exc:\n"
+        "        print('rejected:', exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected: bracket relation fails"), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    for line in lines:
+        assert line.startswith("rejected: bracket relation fails"), proc.stdout
 
 
 def test_odd_projectivity_trivial_module():

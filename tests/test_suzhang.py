@@ -199,6 +199,16 @@ def test_check_pair_conditions_negative_controls():
         check_pair_conditions((Weight.zero(P32), sigma), d, P32, 2)
 
 
+def test_check_pair_conditions_need_k_at_least_2():
+    # no pair of the k = 1 family meets them: sigma <= nu needs a <= n - 1,
+    # below the window 2d/3 < a <= d
+    d = 20
+    s = build_S(P21, 1, d)
+    for k in (1, 0, -1):
+        with pytest.raises(DomainError, match=f"need atypicality k >= 2, got k={k}"):
+            check_pair_conditions(s.pairs[0], d, P21, k)
+
+
 def test_schmidt_parity():
     for d in (12, 20, 33):
         s = build_S(P32, 2, d)
