@@ -23,7 +23,7 @@ from operator import add, attrgetter, eq, lshift, mul, neg, sub
 
 from .._record import Record
 from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
-from ..errors import DomainError, InternalCheckError, ResourceLimitError
+from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 
 GT_MAX_DIM = 10_000
@@ -64,6 +64,17 @@ def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction,
     return list(zip(*diags))
 
 
+def check_layout(actions: dict[Unit, SparseCols], dim: int) -> None:
+    """Refuse actions unless every unit has dim columns with row indices in 0..dim - 1."""
+    for unit, cols in actions.items():
+        if len(cols) != dim:
+            raise ParameterError(f"{unit} must have {dim} columns")
+        rows = list(chain.from_iterable(cols))
+        if rows and not 0 <= min(rows) <= max(rows) < dim:
+            bad = next(i for i in rows if not 0 <= i < dim)
+            raise ParameterError(f"{unit} has row index {bad} outside 0..{dim - 1}")
+
+
 def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> None:
     """Exact superbracket relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
 
@@ -88,7 +99,9 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     if c is its lowest nonzero entry, in slot p, the sum is 2^(W p) (c + 2^W
     q) for an int q, and 0 < |c| < 2^W.  Other actions are checked pair by
     pair with sparse products of the scaled columns, in _check_by_products.
+    A malformed layout is refused first, by check_layout.
     """
+    check_layout(actions, dim)
     entries = chain.from_iterable(map(dict.values, chain.from_iterable(actions.values())))
     scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
     slots = _weight_slots(actions, dim)
@@ -161,8 +174,6 @@ def _weight_slots(actions: dict[Unit, SparseCols], dim: int) -> list[int] | None
     keys = [sum(map(mul, w, power.values())) for w in weights]
     for (a, b), cols in actions.items():
         rows = list(chain.from_iterable(cols))
-        if len(cols) != dim or rows and not 0 <= min(rows) <= max(rows) < dim:
-            return None
         column_keys = map(keys.__getitem__, chain.from_iterable(map(repeat, range(dim), map(len, cols))))
         targets = map(add, column_keys, repeat(power.get(a, 0) - power.get(b, 0)))
         if not all(map(eq, map(keys.__getitem__, rows), targets)):

@@ -27,6 +27,7 @@ from ..weights import SuperParams, Weight, require_dominant
 from .gt import (
     Unit,
     basis_weights,
+    check_layout,
     check_super_brackets,
     gl_simple,
     super_bracket_units,
@@ -59,6 +60,7 @@ class MatrixModule(Record, frozen=False):
             raise ParameterError("actions must cover every matrix unit")
         if len(self.parity) != self.dim:
             raise ParameterError("parity labels must match the dimension")
+        check_layout(self.actions, self.dim)
         self._check_parity()
         self.check_brackets()
 
@@ -68,13 +70,9 @@ class MatrixModule(Record, frozen=False):
     def _check_parity(self) -> None:
         # odd units flip the Z2 label of a basis vector, even units preserve it
         for unit, cols in self.actions.items():
-            if len(cols) != self.dim:
-                raise ParameterError(f"{unit} must have {self.dim} columns")
             flip = unit_parity(self.params.m, unit)
             for j, col in enumerate(cols):
                 for i, val in col.items():
-                    if not 0 <= i < self.dim:
-                        raise ParameterError(f"{unit} has row index {i} outside 0..{self.dim - 1}")
                     if val and (self.parity[i] + self.parity[j]) % 2 != flip:
                         raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
 
@@ -130,6 +128,8 @@ def kac_cost(lam: Weight) -> tuple[int, int]:
 
 def _induced_module(lam: Weight, side: int) -> MatrixModule:
     """Kac module (side=+1, exterior algebra on g_{-1}) or its mirror (side=-1)."""
+    if side not in (1, -1):
+        raise ParameterError("side must be +1 or -1")
     require_dominant(lam)
     params = lam.params
     m, n = params.m, params.n
@@ -143,8 +143,6 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     left_rep = gl_simple(m, lam.coeffs[:m])
     right_rep = gl_simple(n, lam.coeffs[m:])
 
-    if side not in (1, -1):
-        raise ParameterError("side must be +1 or -1")
     lower = [(m + j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
     upper = [(i, m + j) for j in range(1, n + 1) for i in range(1, m + 1)]
     wedge_units, straight_units = (lower, upper) if side == 1 else (upper, lower)

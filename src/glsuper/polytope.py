@@ -11,10 +11,10 @@ Variables are (b_1, ..., b_k, a_1, ..., a_k).  At dilation d the system is
     a_v <= b_v               (v = 1..k)
 
 Every constraint is homogeneous of degree one in (d, x), so the d-system is
-the d-fold dilation of the d=1 polytope.  Lattice points are enumerated
-exactly, or counted without being listed; the count is fitted by an Ehrhart
-quasipolynomial with exact rational interpolation, and the coefficient-wise
-minimum of the constituents gives the lower-bound polynomial Q.
+the d-fold dilation of the d=1 polytope.  One walk over the lattice points,
+_walk, lists them or counts them without building any; the count is fitted by
+an Ehrhart quasipolynomial with exact rational interpolation, and the
+coefficient-wise minimum of the constituents gives the lower-bound polynomial Q.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from operator import neg, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import (
@@ -50,7 +51,7 @@ _CALL_DIVISOR = {2: 3, 3: 115}
 # Python 3.11: k = 5 (24,310 systems) took 7 to 13 s; k = 6 would solve 167,960
 VERTEX_MAX_SYSTEMS = 25_000
 
-LinearCondition = tuple[tuple[Fraction, ...], Fraction]
+LinearCondition = tuple[tuple[int, ...], int | Fraction]
 
 
 class RationalPolytope(Record):
@@ -77,36 +78,23 @@ class RationalPolytope(Record):
         return True
 
 
-def _unit(k: int, index: int, value) -> list[Fraction]:
-    row = [Fraction(0)] * (2 * k)
-    row[index] = Fraction(value)
-    return row
-
-
 def _system(k: int) -> RationalPolytope:
     if k < 1:
         raise DomainError(f"the polytope needs k >= 1, got k={k}")
     gap = Fraction(1, 2 * k * k)
-    eq_row = [Fraction(1)] * k + [Fraction(-2)] * k
-    ineqs: list[LinearCondition] = []
-    for u in range(k - 1):
-        row = _unit(k, u, 1)
-        row[u + 1] = Fraction(-1)
-        ineqs.append((tuple(row), gap))
-    ineqs.append((tuple(_unit(k, 0, -1)), gap))
-    for u in range(k - 1):
-        row = _unit(k, k + u, 1)
-        row[k + u + 1] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    ineqs.append((tuple(_unit(k, k, -1)), Fraction(0)))
-    diff_row = [Fraction(1)] * k + [Fraction(-1)] * k
-    ineqs.append((tuple(diff_row), Fraction(0)))
-    ineqs.append((tuple(-c for c in diff_row), Fraction(-1)))
-    for v in range(k):
-        row = _unit(k, v, 1)
-        row[k + v] = Fraction(-1)
-        ineqs.append((tuple(row), Fraction(0)))
-    return RationalPolytope(2 * k, ((tuple(eq_row), Fraction(1)),), tuple(ineqs))
+    unit = [tuple(int(i == j) for j in range(2 * k)) for i in range(2 * k)]
+
+    def minus(i: int, j: int) -> tuple[int, ...]:
+        return tuple(map(sub, unit[i], unit[j]))
+
+    diff_row = (1,) * k + (-1,) * k
+    ineqs: list[LinearCondition] = [(minus(u, u + 1), gap) for u in range(k - 1)]
+    ineqs.append((tuple(map(neg, unit[0])), gap))
+    ineqs += [(minus(k + u, k + u + 1), 0) for u in range(k - 1)]
+    ineqs.append((tuple(map(neg, unit[k])), 0))
+    ineqs += [(diff_row, 0), (tuple(map(neg, diff_row)), -1)]
+    ineqs += [(minus(v, k + v), 0) for v in range(k)]
+    return RationalPolytope(2 * k, (((1,) * k + (-2,) * k, 1),), tuple(ineqs))
 
 
 def build_polytope(k: int) -> RationalPolytope:
@@ -149,13 +137,45 @@ def k1_degenerate_point() -> tuple[int, int]:
     return point
 
 
+def _walk(k: int, d: int, visit: Callable[..., int]) -> int:
+    """The sum over the leaves of visit(b, a, top, sum(b), sum(a), e_max).
+
+    b = b_1..b_{k-1} has each b_u in -d..b_{u-1} - ceil(d/2k^2), and b_k = 2e - d -
+    sum(b) keeps its gap for e = 0..e_max: e >= 0 gives exactly the full b summing to
+    at least -d with the parity of d, so every b_u >= -d, as all are negative.  a =
+    a_1..a_{k-2} starts the weakly decreasing a with a_v <= b_v and a_1 <= 0 that sum
+    to e - d, each at least the mean of the entries left and lowering e_max to what
+    they can sum to; top = min(a_{k-2}, b_{k-1}) bounds a_{k-1} (a_0 = 0).  a_v >= -d
+    holds unchecked: every a_v <= 0 and e - d >= -d.  walk_a takes visit's arguments,
+    top bounding the next a, and hands its last a to visit.
+    """
+    min_step = -(-d // (2 * k * k))
+
+    def walk_a(b: tuple, a: tuple, top: int, sum_b: int, sum_a: int, e_max: int) -> int:
+        v, left = len(a), k - len(a)
+        step = walk_a if v < k - 3 else visit
+        return sum(
+            step(b, a + (x,), min(x, b[v + 1]), sum_b, sum_a + x, min(e_max, left * x + d + sum_a))
+            for x in range(-((d + sum_a) // left), top + 1)
+        )
+
+    def walk_b(b: tuple, sum_b: int) -> int:
+        upper = b[-1] - min_step if b else -min_step
+        if len(b) < k - 1:
+            return sum(walk_b(b + (value,), sum_b + value) for value in range(-d, upper + 1))
+        e_max = (upper + d + sum_b) // 2
+        if e_max < 0:
+            return 0
+        return (walk_a if k > 2 else visit)(b, (), min(0, b[0]), sum_b, 0, e_max)
+
+    return walk_b((), 0)
+
+
 def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
     """All integer points of the d-dilated polytope, lexicographically sorted.
 
-    The box bound [-d, 0]^{2k} follows from the constraints: the a_i are
-    <= a_1 <= 0 and sum(a) = (sum(b) - d)/2 >= -d, so each a_i >= sum(a); the
-    b_i are negative with sum(b) = d + 2 sum(a) >= -d, so each b_i >= sum(b).
-    Enumeration walks coordinates in order with interval pruning.
+    At each leaf of _walk and each e, a_{k-1} runs up to top from the larger of
+    ceil(rest/2) (a_k <= a_{k-1}) and rest - b_k (a_k <= b_k), rest = a_{k-1} + a_k.
     """
     if k < 2:
         raise DegenerateCaseError("lattice enumeration needs k >= 2; see k1_degenerate_point()")
@@ -165,40 +185,16 @@ def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
         raise ResourceLimitError(
             f"(k={k}, d={d}) exceeds (ENUM_MAX_K, ENUM_MAX_D) = ({ENUM_MAX_K}, {ENUM_MAX_D})"
         )
-
-    gap = Fraction(d, 2 * k * k)
-    min_step = math.ceil(gap)  # integer b-gaps must be >= ceil(d/2k^2)
     points: list[tuple[int, ...]] = []
 
-    def extend_a(b: tuple[int, ...], prefix: tuple[int, ...], remaining_sum: int) -> None:
-        filled = len(prefix)
-        if filled == k:
-            if remaining_sum == 0:
-                points.append(b + prefix)
-            return
-        upper = min(prefix[-1] if prefix else 0, b[filled])
-        left = k - filled - 1
-        # each later entry lies in [-d, a_current]
-        lo = max(-d, remaining_sum - left * upper if left else remaining_sum)
-        for a_val in range(lo, upper + 1):
-            rest = remaining_sum - a_val
-            if rest > left * a_val or rest < -left * d:
-                continue
-            extend_a(b, prefix + (a_val,), rest)
+    def visit(b: tuple, a: tuple, top: int, sum_b: int, sum_a: int, e_max: int) -> int:
+        for e in range(e_max + 1):
+            last_b, rest = 2 * e - d - sum_b, e - d - sum_a
+            low = max(-(-rest // 2), rest - last_b)
+            points.extend((*b, last_b, *a, x, rest - x) for x in range(low, top + 1))
+        return 0
 
-    def extend_b(prefix: tuple[int, ...]) -> None:
-        filled = len(prefix)
-        if filled == k:
-            total_b = sum(prefix)
-            if total_b < -d or (total_b - d) % 2:
-                return
-            extend_a(prefix, (), (total_b - d) // 2)
-            return
-        upper = prefix[-1] - min_step if prefix else -min_step
-        for b_val in range(-d, upper + 1):
-            extend_b(prefix + (b_val,))
-
-    extend_b(())
+    _walk(k, d, visit)
     points.sort()
     return points
 
@@ -228,11 +224,8 @@ def _clipped_sum(P: int, R: int, D: int, lo: int, hi: int) -> int:
 def count_lattice_points(k: int, d: int) -> int:
     """The number of integer points of the d-dilated polytope, none of them built.
 
-    The b are walked as in enumerate_lattice_points up to b_k = -d - sum(b_1..b_{k-1}) + 2e,
-    e >= 0: exactly the b with sum(b) >= -d and sum(b) - d even.  The weakly decreasing
-    a with a_v <= b_v, a_1 <= 0 and sum(a) = e - d are counted by a loop over a_1..a_{k-2},
-    each at least the mean of the entries left, then one _clipped_sum over e for the last
-    two.  The bound a_v >= -d holds unchecked: every a_v <= 0 and sum(a) >= -d.
+    At each leaf of _walk, one _clipped_sum over e counts the a_{k-1} that
+    enumerate_lattice_points lists there.
     """
     _check_count_k(k)
     if d < 1:
@@ -240,28 +233,10 @@ def count_lattice_points(k: int, d: int) -> int:
     if d > ENUM_MAX_D:
         raise ResourceLimitError(f"d={d} exceeds ENUM_MAX_D = {ENUM_MAX_D}")
 
-    min_step = -(-d // (2 * k * k))
+    def visit(b: tuple, a: tuple, top: int, sum_b: int, sum_a: int, e_max: int) -> int:
+        return _clipped_sum(top + 1, top + 1 - sum_b + sum_a, d + sum_a, 0, e_max)
 
-    def count_a(b: tuple, v: int, a_prev: int, sum_a: int, total_b: int, e_max: int) -> int:
-        # weakly decreasing a_v..a_{k-1} (0-based), each <= a_prev and <= b_v, summing
-        # to e - d - sum_a, for e = 0..e_max
-        top = min(a_prev, b[v])
-        if v == k - 2:
-            # a_v >= ceil((e - d - sum_a)/2), a_v >= total_b - sum_a - e (a_{k-1} <= b_{k-1})
-            return _clipped_sum(top + 1, top + 1 - total_b + sum_a, d + sum_a, 0, e_max)
-        return sum(
-            count_a(b, v + 1, a, sum_a + a, total_b, min(e_max, (k - v) * a + d + sum_a))
-            for a in range(-((d + sum_a) // (k - v)), top + 1)
-        )
-
-    def walk_b(b: tuple, total_b: int) -> int:
-        upper = b[-1] - min_step if b else -min_step
-        if len(b) == k - 1:
-            e_max = (upper + d + total_b) // 2
-            return count_a(b, 0, 0, 0, total_b, e_max) if e_max >= 0 else 0
-        return sum(walk_b(b + (value,), total_b + value) for value in range(-d, upper + 1))
-
-    return walk_b((), 0)
+    return _walk(k, d, visit)
 
 
 def check_count_cost(k: int, ds: Iterable[int]) -> None:

@@ -1,16 +1,73 @@
 """Slow oracles for glsuper.polytope, the package's earlier implementations kept
-unchanged as references: the count-only lattice kernel that loops over every b
+unchanged as references: the enumerator that walks every b coordinate and then
+filters by sum and parity (now the count's walk, with the last b and the last
+two a read off per leaf), the count-only lattice kernel that loops over every b
 coordinate, the last one included (now summed in closed form), and the vertex
 solve by dense row reduction of [coeffs | rhs] (now a sparse column relation)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from glsuper.errors import DomainError, ResourceLimitError
-from glsuper.polytope import ENUM_MAX_D, _check_count_k, _system
+from glsuper.errors import DegenerateCaseError, DomainError, ResourceLimitError
+from glsuper.polytope import ENUM_MAX_D, ENUM_MAX_K, _check_count_k, _system
 from glsuper.ratlinalg import rref
+
+
+def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
+    """All integer points of the d-dilated polytope, lexicographically sorted.
+
+    The box bound [-d, 0]^{2k} follows from the constraints: the a_i are
+    <= a_1 <= 0 and sum(a) = (sum(b) - d)/2 >= -d, so each a_i >= sum(a); the
+    b_i are negative with sum(b) = d + 2 sum(a) >= -d, so each b_i >= sum(b).
+    Enumeration walks coordinates in order with interval pruning.
+    """
+    if k < 2:
+        raise DegenerateCaseError("lattice enumeration needs k >= 2; see k1_degenerate_point()")
+    if d < 1:
+        raise DomainError("dilation must be positive")
+    if k > ENUM_MAX_K or d > ENUM_MAX_D:
+        raise ResourceLimitError(
+            f"(k={k}, d={d}) exceeds (ENUM_MAX_K, ENUM_MAX_D) = ({ENUM_MAX_K}, {ENUM_MAX_D})"
+        )
+
+    gap = Fraction(d, 2 * k * k)
+    min_step = math.ceil(gap)  # integer b-gaps must be >= ceil(d/2k^2)
+    points: list[tuple[int, ...]] = []
+
+    def extend_a(b: tuple[int, ...], prefix: tuple[int, ...], remaining_sum: int) -> None:
+        filled = len(prefix)
+        if filled == k:
+            if remaining_sum == 0:
+                points.append(b + prefix)
+            return
+        upper = min(prefix[-1] if prefix else 0, b[filled])
+        left = k - filled - 1
+        # each later entry lies in [-d, a_current]
+        lo = max(-d, remaining_sum - left * upper if left else remaining_sum)
+        for a_val in range(lo, upper + 1):
+            rest = remaining_sum - a_val
+            if rest > left * a_val or rest < -left * d:
+                continue
+            extend_a(b, prefix + (a_val,), rest)
+
+    def extend_b(prefix: tuple[int, ...]) -> None:
+        filled = len(prefix)
+        if filled == k:
+            total_b = sum(prefix)
+            if total_b < -d or (total_b - d) % 2:
+                return
+            extend_a(prefix, (), (total_b - d) // 2)
+            return
+        upper = prefix[-1] - min_step if prefix else -min_step
+        for b_val in range(-d, upper + 1):
+            extend_b(prefix + (b_val,))
+
+    extend_b(())
+    points.sort()
+    return points
 
 
 def count_lattice_points(k: int, d: int) -> int:

@@ -411,6 +411,32 @@ def test_malformed_layout_rejected():
         MatrixModule(P11, 1, outside, (0,))
 
 
+@pytest.mark.parametrize(
+    "e12,message",
+    [
+        ([{3: 1}], r"\(1, 2\) has row index 3 outside 0\.\.0"),
+        ([{}, {}], r"\(1, 2\) must have 1 columns"),
+    ],
+    ids=["row-outside", "extra-column"],
+)
+def test_bracket_check_refuses_malformed_layout(e12, message):
+    # called directly, without MatrixModule's own checks in front of it
+    actions = {**trivial_module(P11).actions, (1, 2): e12}
+    with pytest.raises(ParameterError, match=message):
+        check_super_brackets(actions, 1, P11.m)
+
+
+def test_induced_module_checks_side_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work was done before the side check")
+
+    monkeypatch.setattr(modules, "gl_simple", no_work)
+    monkeypatch.setattr(modules, "kac_cost", no_work)
+    for side in (0, 2):
+        with pytest.raises(ParameterError, match="side must be"):
+            modules._induced_module(Weight(P21, (0, 0, 0)), side)
+
+
 # E11 maps v1 to v0, so it is not diagonal and the check takes the product
 # loop; zero odd units break [E12, E21] = E11 + E22 there
 BROKEN_NOT_GRADED = {(1, 1): [{}, {0: 1}], (2, 2): [{}, {}], (1, 2): [{}, {}], (2, 1): [{}, {}]}

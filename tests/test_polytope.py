@@ -154,6 +154,13 @@ def test_count_matches_enumeration(case):
     assert count_lattice_points.__wrapped__(k, d) == len(enumerate_lattice_points(k, d))
 
 
+def test_enumeration_matches_reference_enumerator():
+    # the walk lists the points of the earlier enumerator, in its order
+    cases = [(2, d) for d in (*range(1, 81), 120, 160, 200)] + [(3, d) for d in range(1, 31)]
+    for k, d in cases:
+        assert enumerate_lattice_points(k, d) == slow_polytope.enumerate_lattice_points(k, d)
+
+
 def _direct_clipped_sum(P, R, D, lo, hi):
     return sum(max(0, min(P - -(-(e - D) // 2), e + R)) for e in range(lo, hi + 1))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -175,6 +176,20 @@ def test_build_S_k2_matches_lattice_count():
         for mu, sigma in s.pairs:
             assert atypicality(mu).block_key() == key
             assert atypicality(sigma).block_key() == key
+
+
+# sha256 of build_S(...).to_json() dumped with sorted keys, recorded from the
+# enumerator that walked every b coordinate and filtered by sum and parity
+BUILD_S_SHA256 = {
+    (SuperParams(4, 2), 2, 60): "b185ff19ff7ef6c60b5b19790ae7cc9b07ab00f2260dba5d77aab3c83f143fb4",
+    (SuperParams(3, 3), 3, 24): "8aa920e68844ce3736a1da6d1cbf1fc92635361764cbf61e58e7056b3027f882",
+}
+
+
+@pytest.mark.parametrize("case,digest", BUILD_S_SHA256.items(), ids=["gl42-k2-d60", "gl33-k3-d24"])
+def test_build_S_matches_recorded_digest(case, digest):
+    text = json.dumps(build_S(*case).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_check_pair_conditions_positive():
