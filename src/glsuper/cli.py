@@ -236,6 +236,10 @@ def cmd_ehrhart(args) -> str:
     dmin, dmax = args.dmin, args.dmax
     if dmin < 1 or dmax < dmin:
         raise DomainError("need 1 <= dmin <= dmax")
+    if dmin > polytope.ENUM_MAX_D:
+        raise ResourceLimitError(
+            f"--dmin {dmin} leaves no row: counts stop at ENUM_MAX_D = {polytope.ENUM_MAX_D}"
+        )
     truncated = None
     if dmax > polytope.ENUM_MAX_D:
         truncated = f"table truncated at d={polytope.ENUM_MAX_D} (resource bound)"

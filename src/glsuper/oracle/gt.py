@@ -236,15 +236,22 @@ def _interlacing_rows(upper: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:
-    """All patterns with the given top row, in a fixed deterministic order."""
+    """All patterns with the given top row, in a fixed deterministic order;
+    raises ResourceLimitError above GT_MAX_DIM patterns, before building any."""
     top = tuple(top)
     if any(top[i] < top[i + 1] for i in range(len(top) - 1)):
         raise DomainError(f"top row {top} is not weakly decreasing")
+    check_weyl_work(weyl_work_gl(top))
+    dim = weyl_dim_gl(top)
+    if dim > GT_MAX_DIM:
+        raise ResourceLimitError(f"dimension {dim} exceeds GT_MAX_DIM = {GT_MAX_DIM}")
     stacks = [(top,)]
     while len(stacks[0][-1]) > 1:
         stacks = [
             stack + (nxt,) for stack in stacks for nxt in _interlacing_rows(stack[-1])
         ]
+    if len(stacks) != dim:
+        raise InternalCheckError(f"{len(stacks)} patterns for Weyl dimension {dim}")
     return [GTPattern(stack) for stack in stacks]
 
 
@@ -272,13 +279,8 @@ def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     hw = tuple(int(c) for c in highest_weight)
     if len(hw) != r:
         raise DomainError(f"expected {r} coordinates, got {len(hw)}")
-    check_weyl_work(weyl_work_gl(hw))
-    dim = weyl_dim_gl(hw)
-    if dim > GT_MAX_DIM:
-        raise ResourceLimitError(f"dimension {dim} exceeds GT_MAX_DIM = {GT_MAX_DIM}")
     patterns = gt_patterns(hw)
-    if len(patterns) != dim:
-        raise InternalCheckError(f"{len(patterns)} patterns for Weyl dimension {dim}")
+    dim = len(patterns)
     # the patterns over hw are exactly the interlacing ones, and a bump leaves the
     # top row alone, so a bumped pattern is one exactly when its rows are a key here
     index = {p.rows: i for i, p in enumerate(patterns)}

@@ -23,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from operator import neg, sub
+from operator import mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import Record
@@ -60,19 +60,19 @@ class RationalPolytope(Record):
     __slots__ = ("dim_ambient", "equalities", "inequalities")
 
     def satisfies(self, point: Sequence, dilation: int = 1, strict: bool = False) -> bool:
-        """Membership of point in the dilation-fold dilated polytope.
+        """Membership of point, exact int or Fraction coordinates, in the
+        dilation-fold dilated polytope.
 
         With strict=True the inequalities must hold strictly (interior test);
         the equalities always hold exactly.
         """
         if len(point) != self.dim_ambient:
             raise DomainError(f"point has {len(point)} coordinates, expected {self.dim_ambient}")
-        x = [Fraction(c) for c in point]
         for coeffs, rhs in self.equalities:
-            if sum(c * v for c, v in zip(coeffs, x)) != rhs * dilation:
+            if sum(map(mul, coeffs, point)) != rhs * dilation:
                 return False
         for coeffs, rhs in self.inequalities:
-            lhs = sum(c * v for c, v in zip(coeffs, x))
+            lhs = sum(map(mul, coeffs, point))
             if lhs < rhs * dilation or (strict and lhs == rhs * dilation):
                 return False
         return True
@@ -116,10 +116,7 @@ def interior_witness(k: int) -> tuple[Fraction, ...]:
     b = [-(1 + (i + 1) * delta) / kk for i in range(k)]
     a = [-(1 + (i + 1) * delta + delta_prime) / kk for i in range(k)]
     point = tuple(b + a)
-    poly = build_polytope(k)
-    if sum(point[:k]) - 2 * sum(point[k:]) != 1:
-        raise InternalCheckError("witness misses the equality")
-    if not poly.satisfies(point, strict=True):
+    if not build_polytope(k).satisfies(point, strict=True):
         raise InternalCheckError("witness is not interior")
     return point
 
@@ -260,19 +257,7 @@ def brute_force_count(k: int, d: int) -> int:
     if d > 8 or k > 3:
         raise ResourceLimitError("box scan is for small d only")
     poly = _system(k)
-    count = 0
-
-    def rec(prefix: tuple[int, ...]) -> None:
-        nonlocal count
-        if len(prefix) == 2 * k:
-            if poly.satisfies(prefix, dilation=d):
-                count += 1
-            return
-        for v in range(-d, 1):
-            rec(prefix + (v,))
-
-    rec(())
-    return count
+    return sum(poly.satisfies(point, dilation=d) for point in itertools.product(range(-d, 1), repeat=2 * k))
 
 
 class QuasiPolynomial(Record):
@@ -343,11 +328,7 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
 @cache
 def polytope_denominator(k: int) -> int:
     """lcm of the vertex coordinate denominators; the Ehrhart period divides it."""
-    den = 1
-    for vertex in vertices(k):
-        for c in vertex:
-            den = math.lcm(den, c.denominator)
-    return den
+    return math.lcm(*(c.denominator for vertex in vertices(k) for c in vertex))
 
 
 def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
@@ -381,29 +362,20 @@ def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
     needed = degree + 1
     ds = sorted(counts)
     for period in range(1, polytope_denominator(k) + 1):
-        classes: dict[int, list[tuple[int, int]]] = {r: [] for r in range(period)}
+        classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
         for d in ds:
             classes[d % period].append((d, counts[d]))
-        if any(len(pts) < needed for pts in classes.values()):
+        if any(len(pts) < needed for pts in classes):
             continue
         polys = []
-        consistent = True
-        for r in range(period):
-            pts = classes[r]
+        for pts in classes:
             coeffs = _interpolate(pts[:needed])
-            for d, c in pts[needed:]:
-                if eval_poly(coeffs, d) != c:
-                    consistent = False
-                    break
-            if not consistent:
+            if any(eval_poly(coeffs, d) != c for d, c in pts[needed:]):
                 break
             polys.append(coeffs)
-        if not consistent:
-            continue
-        leading = {p[-1] for p in polys}
-        if len(leading) != 1 or next(iter(leading)) <= 0:
-            continue
-        return QuasiPolynomial(period, tuple(polys))
+        else:
+            if len({p[-1] for p in polys}) == 1 and polys[0][-1] > 0:
+                return QuasiPolynomial(period, tuple(polys))
     raise FitError(f"no consistent period <= {polytope_denominator(k)} found")
 
 

@@ -1,10 +1,13 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +131,18 @@ def test_classify_computes_each_block_descriptor_once(capsys, monkeypatch):
     assert len(calls) == 6
 
 
+def count_gt_patterns(row: tuple[int, ...]) -> int:
+    """The patterns over a top row, counted one interlacing row at a time.
+
+    gt_patterns refuses tops above GT_MAX_DIM, and seed 5 below samples a
+    gl(4) top of dimension 10,164.
+    """
+    if len(row) < 2:
+        return 1
+    lower_rows = itertools.product(*(range(low, high + 1) for high, low in zip(row, row[1:])))
+    return sum(map(count_gt_patterns, lower_rows))
+
+
 def test_classify_rows_match_gt_pattern_counts(capsys):
     m, n = 4, 3
     args = ("classify", "--m", str(m), "--n", str(n), "--sample", "40", "--seed", "5")
@@ -137,7 +152,7 @@ def test_classify_rows_match_gt_pattern_counts(capsys):
     assert len(rows) == 40
     for row in rows:
         coeffs = tuple(row["weight"]["coeffs"])
-        dim = len(gt_patterns(coeffs[:m])) * len(gt_patterns(coeffs[m:]))
+        dim = count_gt_patterns(coeffs[:m]) * count_gt_patterns(coeffs[m:])
         assert row["weyl_dim_g0"] == dim
         assert row["projective_dim_bounds"] == [dim, 2 ** (2 * m * n) * dim]
     for fmt in ("json", "csv"):
@@ -455,6 +470,23 @@ def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):
     assert "predicts 3513130 steps, over the bound 600000" in err
 
 
+def test_ehrhart_refuses_a_table_past_the_count_bound(capsys, monkeypatch):
+    def work(*_args):
+        raise AssertionError("solved or counted before the guard")
+
+    monkeypatch.setattr(polytope, "count_lattice_points", work)
+    monkeypatch.setattr(polytope, "vertices", work)
+    code, out, err = run(capsys, "ehrhart", "--k", "2", "--dmin", "300", "--dmax", "400")
+    assert code == 2 and out == ""
+    assert "--dmin 300 leaves no row: counts stop at ENUM_MAX_D = 200" in err
+
+
+def test_ehrhart_prints_the_row_at_the_count_bound(capsys):
+    code, out, _ = run(capsys, "ehrhart", "--k", "2", "--dmin", "200", "--dmax", "250", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"200,{count_lattice_points(2, 200)},")
+
+
 def test_ehrhart_csv_deterministic(capsys):
     args = ("ehrhart", "--k", "2", "--dmin", "3", "--dmax", "10", "--format", "csv")
     code, out1, _ = run(capsys, *args)
@@ -549,6 +581,7 @@ def test_module_entry_point():
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degenerate_point"] == [-1, -1]
@@ -602,6 +635,8 @@ def test_reruns_are_byte_identical(argv):
     "call,message",
     [
         (lambda: gl_simple(3, (60, 0, -60)), "dimension 226981 exceeds GT_MAX_DIM = 10000"),
+        # (20, 10, 0, 0) built 61,226 patterns before the guard moved into gt_patterns
+        (lambda: gt_patterns((20, 10, 0, 0)), "dimension 61226 exceeds GT_MAX_DIM = 10000"),
         (lambda: count_lattice_points(4, 5), "k=4 exceeds ENUM_MAX_K = 3"),
         (lambda: count_lattice_points(2, 500), "d=500 exceeds ENUM_MAX_D = 200"),
         (

@@ -121,7 +121,7 @@ def test_enumeration_matches_box_scan():
     for d, frozen in FROZEN_COUNTS_K2.items():
         assert count_lattice_points(2, d) == frozen
         assert brute_force_count(2, d) == frozen
-    for d in range(1, 7):
+    for d in range(1, 9):
         assert count_lattice_points(3, d) == brute_force_count(3, d)
 
 
@@ -299,6 +299,25 @@ def test_fit_quasipolynomial(counts_k2):
     assert all(p[-1] == leading for p in quasi.polys)
     for d, c in counts_k2.items():
         assert quasi.value(d) == c
+
+
+@pytest.mark.parametrize(
+    "count, period",
+    [(lambda d: d**3, 1), (lambda d: d**3 + d % 2, 2), (lambda d: d**3 + (d % 4 == 3), 4)],
+    ids=["period-1", "period-2", "period-4"],
+)
+def test_fit_returns_least_consistent_period(count, period):
+    counts = {d: count(d) for d in range(1, 41)}
+    quasi = fit_quasipolynomial(counts, 2)
+    assert quasi.period == period
+    assert all(quasi.value(d) == c for d, c in counts.items())
+
+
+def test_fit_rejects_classes_with_different_leading_coefficients():
+    # every even period with 4 samples a class (2 to 10) reproduces the series
+    # exactly, with leading coefficient 1 on the even classes and 2 on the odd
+    with pytest.raises(FitError, match="no consistent period <= 32 found"):
+        fit_quasipolynomial({d: d**3 * (1 + d % 2) for d in range(1, 41)}, 2)
 
 
 def _det3(u, v, w):
