@@ -1,11 +1,13 @@
 """Exact block combinatorics, complexity formulas, and module oracles for gl(m|n)."""
 
-from . import _lazy, dimensions, invariants, weights
+from . import _lazy
 
 __version__ = "0.1.0"
 
-# polytope and suzhang (and ratlinalg, which polytope imports) run on first use
-_lazy.register(__name__, ("ratlinalg", "polytope", "suzhang"))
+# these run on first use; registered before invariants imports weights, so
+# that there is one weights module, the registered one
+_lazy.register(__name__, ("weights", "dimensions", "ratlinalg", "polytope", "suzhang"))
+from . import invariants  # the parser needs ModuleKind
 # every public name, under the submodule that defines it; the first use of a
 # name reads it from there and binds it here
 _EXPORTS = {

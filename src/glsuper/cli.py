@@ -15,20 +15,10 @@ import random
 import re
 import sys
 
-from . import polytope
-from .dimensions import check_weyl_work, projective_dim_bounds, weyl_work
+from . import dimensions, polytope, weights
 from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
 from .oracle import gl11, modules
-from .weights import (
-    SuperParams,
-    Weight,
-    atypicality,
-    is_dominant,
-    length,
-    naive_length,
-    weight_to_json,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -54,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _parse_weight(params: SuperParams, text: str, where: str = "") -> Weight:
+def _parse_weight(params: weights.SuperParams, text: str, where: str = "") -> weights.Weight:
     """A weight that is not params.rank integers is a usage error; where, if
     given, says where it was read ("path:lineno: ")."""
     try:
@@ -65,10 +55,10 @@ def _parse_weight(params: SuperParams, text: str, where: str = "") -> Weight:
         raise argparse.ArgumentTypeError(
             f"{where}malformed weight {text!r}: expected {params.rank} comma-separated integers"
         )
-    return Weight(params, coeffs)
+    return weights.Weight(params, coeffs)
 
 
-def _gather_weights(params: SuperParams, args, weyl: bool = False) -> list[Weight]:
+def _gather_weights(params: weights.SuperParams, args, weyl: bool = False) -> list[weights.Weight]:
     """The weights to report on; with weyl, the Weyl formulas they will run
     are guarded before any weight is sampled."""
     if args.sample < 0:
@@ -77,7 +67,7 @@ def _gather_weights(params: SuperParams, args, weyl: bool = False) -> list[Weigh
         raise ResourceLimitError(
             f"--sample {args.sample} exceeds SAMPLE_MAX = {SAMPLE_MAX} weights"
         )
-    weights = [_parse_weight(params, text) for text in args.weight or []]
+    lams = [_parse_weight(params, text) for text in args.weight or []]
     lines: list[tuple[int, str]] = []
     path = args.weights_file
     if path is not None:
@@ -85,32 +75,34 @@ def _gather_weights(params: SuperParams, args, weyl: bool = False) -> list[Weigh
             with open(path, encoding="utf-8") as handle:
                 # read up to the first weight over SAMPLE_MAX, and parse none before the count
                 numbered = ((lineno, line.strip()) for lineno, line in enumerate(handle, 1) if line.strip())
-                lines = list(itertools.islice(numbered, max(SAMPLE_MAX + 1 - args.sample - len(weights), 0)))
+                lines = list(itertools.islice(numbered, max(SAMPLE_MAX + 1 - args.sample - len(lams), 0)))
         except OSError as exc:
             raise argparse.ArgumentTypeError(f"cannot read --weights-file {path}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise argparse.ArgumentTypeError(f"--weights-file {path} is not UTF-8: {exc.reason}") from exc
-    if len(weights) + len(lines) + args.sample > SAMPLE_MAX:
+    if len(lams) + len(lines) + args.sample > SAMPLE_MAX:
         raise ResourceLimitError(
             f"--weight, --weights-file and --sample give more than SAMPLE_MAX = {SAMPLE_MAX} weights"
         )
-    weights += [_parse_weight(params, line, f"{path}:{lineno}: ") for lineno, line in lines]
+    lams += [_parse_weight(params, line, f"{path}:{lineno}: ") for lineno, line in lines]
     if weyl:
         # no sampled weight spreads wider than this one on either side
-        widest = Weight(params, tuple(
+        widest = weights.Weight(params, tuple(
             SAMPLE_BOUND if i in (0, params.m) else -SAMPLE_BOUND for i in range(params.rank)
         ))
-        check_weyl_work(sum(map(weyl_work, weights)) + args.sample * weyl_work(widest))
+        dimensions.check_weyl_work(
+            sum(map(dimensions.weyl_work, lams)) + args.sample * dimensions.weyl_work(widest)
+        )
     if args.sample:
         rng = random.Random(args.seed)
         lo, hi = -SAMPLE_BOUND, SAMPLE_BOUND
         for _ in range(args.sample):
             left = sorted((rng.randint(lo, hi) for _ in range(params.m)), reverse=True)
             right = sorted((rng.randint(lo, hi) for _ in range(params.n)), reverse=True)
-            weights.append(Weight(params, tuple(left + right)))
-    if not weights:
+            lams.append(weights.Weight(params, tuple(left + right)))
+    if not lams:
         raise DomainError("no weights given; use --weight, --weights-file, or --sample")
-    return weights
+    return lams
 
 
 def _emit(payload, args) -> str:
@@ -145,27 +137,27 @@ def _growth(trace, report) -> list[tuple]:
     ]
 
 
-def _classify_one(w: Weight) -> dict:
-    desc = atypicality(w)
-    bounds = projective_dim_bounds(w)
+def _classify_one(w: weights.Weight) -> dict:
+    desc = weights.atypicality(w)
+    bounds = dimensions.projective_dim_bounds(w)
     return {
-        "weight": weight_to_json(w),
+        "weight": weights.weight_to_json(w),
         "dominant": True,
         "block": desc.to_json(),
-        "naive_length": naive_length(w),
-        "length": length(w, desc),
+        "naive_length": weights.naive_length(w),
+        "length": weights.length(w, desc),
         "weyl_dim_g0": bounds.lower,
         "projective_dim_bounds": [bounds.lower, bounds.upper],
     }
 
 
 def cmd_classify(args) -> str:
-    params = SuperParams(args.m, args.n)
+    params = weights.SuperParams(args.m, args.n)
     reports = [_classify_one(w) for w in _gather_weights(params, args, weyl=True)]
     return _emit(reports if len(reports) > 1 else reports[0], args)
 
 
-def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
+def _verify_report(kind: ModuleKind, w: weights.Weight, report) -> list[dict]:
     checks: list[dict] = []
     params = w.params
     if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
@@ -183,7 +175,7 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
             }
             for side, expected in ((1, report.dim_rank_plus), (-1, report.dim_rank_minus))
         ]
-    if params == SuperParams(1, 1) and w.coeffs[0] == -w.coeffs[1]:
+    if params == weights.SuperParams(1, 1) and w.coeffs[0] == -w.coeffs[1]:
         target = "kac" if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC) else "simple"
         trace = gl11.gl11_minimal_resolution(target, w.coeffs[0], 12)
         checks += [
@@ -196,13 +188,13 @@ def _verify_report(kind: ModuleKind, w: Weight, report) -> list[dict]:
     return checks
 
 
-def _check_verify_cost(kind: ModuleKind, weights: list[Weight]) -> None:
+def _check_verify_cost(kind: ModuleKind, lams: list[weights.Weight]) -> None:
     """Refuse --verify before any module is built if the (dual) Kac modules
     it would build cost more in total than one module may; the modules the
     per-module guard skips are not built and do not count."""
     if kind not in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
         return
-    costs = [modules.kac_cost(w)[1] for w in weights if is_dominant(w)]
+    costs = [modules.kac_cost(w)[1] for w in lams if weights.is_dominant(w)]
     built = [cost for cost in costs if cost <= modules.KAC_MAX_COST]
     if sum(built) > modules.KAC_MAX_COST:
         raise ResourceLimitError(
@@ -212,17 +204,17 @@ def _check_verify_cost(kind: ModuleKind, weights: list[Weight]) -> None:
 
 
 def cmd_invariants(args) -> str:
-    params = SuperParams(args.m, args.n)
+    params = weights.SuperParams(args.m, args.n)
     kind = ModuleKind(args.kind)
     # --verify builds (dual) Kac modules, and kac_cost runs the Weyl formula
     kac = kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC)
-    weights = _gather_weights(params, args, weyl=args.verify and kac)
+    lams = _gather_weights(params, args, weyl=args.verify and kac)
     if args.verify:
-        _check_verify_cost(kind, weights)
+        _check_verify_cost(kind, lams)
     out = []
-    for w in weights:
+    for w in lams:
         report = variety_dims(kind, w)
-        entry = {"kind": kind.value, "weight": weight_to_json(w), **report.to_json()}
+        entry = {"kind": kind.value, "weight": weights.weight_to_json(w), **report.to_json()}
         if args.verify:
             entry["checks"] = _verify_report(kind, w, report)
         out.append(entry)
@@ -301,7 +293,7 @@ def cmd_resolve(args) -> str:
     lam = args.weight
     trace = gl11.gl11_minimal_resolution(args.target, lam, args.depth)
     kind = ModuleKind.KAC if args.target == "kac" else ModuleKind.SIMPLE
-    report = variety_dims(kind, Weight(SuperParams(1, 1), (lam, -lam)))
+    report = variety_dims(kind, weights.Weight(weights.SuperParams(1, 1), (lam, -lam)))
     # resolve's keys shorten z_invariant to z
     growth = [
         (name.removesuffix("_invariant"), fit, formula) for name, fit, formula in _growth(trace, report)

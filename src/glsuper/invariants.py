@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 
+from . import weights
 from ._record import Record
 from .errors import DomainError, InternalCheckError
-from .weights import SuperParams, Weight, atypicality
 
 
 class ModuleKind(enum.Enum):
@@ -45,23 +45,23 @@ class InvariantReport(Record):
         return {name: getattr(self, name) for name in self._fields}
 
 
-def rank_orbit_closure_dim(params: SuperParams, r: int) -> int:
+def rank_orbit_closure_dim(params: weights.SuperParams, r: int) -> int:
     """Dimension (m+n)r - r^2 of the closure of the rank-r orbit in g_{+-1}."""
     if not 0 <= r <= params.n:
         raise DomainError(f"rank {r} out of range 0..{params.n}")
     return (params.m + params.n) * r - r * r
 
 
-def complexity(kind: ModuleKind, lam: Weight) -> int:
+def complexity(kind: ModuleKind, lam: weights.Weight) -> int:
     return variety_dims(kind, lam).complexity
 
 
-def z_invariant(kind: ModuleKind, lam: Weight) -> int:
+def z_invariant(kind: ModuleKind, lam: weights.Weight) -> int:
     return variety_dims(kind, lam).z_invariant
 
 
-def variety_dims(kind: ModuleKind, lam: Weight) -> InvariantReport:
-    k = atypicality(lam).atypicality
+def variety_dims(kind: ModuleKind, lam: weights.Weight) -> InvariantReport:
+    k = weights.atypicality(lam).atypicality
     dim_x = rank_orbit_closure_dim(lam.params, k)
     dim_v = k if kind is ModuleKind.SIMPLE else 0
     z = 2 * k if kind is ModuleKind.SIMPLE else k

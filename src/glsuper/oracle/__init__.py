@@ -1,10 +1,10 @@
 """Brute-force ground truth: explicit matrix modules, rank tests, and gl(1|1) resolutions."""
 
 from .. import _lazy
-from ..dimensions import weyl_dim_gl
 
 _lazy.register(__name__, ("gt", "modules", "gl11"))
 _EXPORTS = {
+    ".dimensions": ("weyl_dim_gl",),  # the parent package's dimensions
     "gt": ("GTPattern", "GlRep", "gl_simple", "gt_patterns"),
     "modules": (
         "MatrixModule", "direct_sum", "dual_kac_module", "element_matrix", "f_odd_element",
@@ -18,7 +18,7 @@ _EXPORTS = {
 }
 __getattr__ = _lazy.exports(__name__, _EXPORTS)
 
-__all__ = sorted(["weyl_dim_gl", *(name for names in _EXPORTS.values() for name in names)])
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __dir__():

@@ -42,8 +42,8 @@ ENUM_MAX_D = 200
 # calls: d/3.0 to d/3.4 (k=2) and d^3/102 to d^3/148 (k=3) for d = 50..200, and
 # summed over d = 1..D, D >= 30, the prediction is 8% under to 13% over the count.
 # A step is one call.  Counting k=3 at d = 1..128 (592,709 predicted steps) takes
-# about 4.9 s on 2 CPUs with Python 3.11, a sixth of a 60 s limit on a host
-# running at half that speed.
+# 0.8 to 1.3 s of CPU on 2 CPUs with Python 3.11, a twentieth of a 60 s limit even
+# on a host running at half that speed.
 COUNT_MAX_STEPS = 600_000
 _CALL_DIVISOR = {2: 3, 3: 115}
 # vertices(k) solves one tight system per choice of 2k-1 of the 3k+2
@@ -139,7 +139,10 @@ def _walk(k: int, d: int, visit: Callable[..., int]) -> int:
 
     b = b_1..b_{k-1} has each b_u in -d..b_{u-1} - ceil(d/2k^2), and b_k = 2e - d -
     sum(b) keeps its gap for e = 0..e_max: e >= 0 gives exactly the full b summing to
-    at least -d with the parity of d, so every b_u >= -d, as all are negative.  a =
+    at least -d with the parity of d, so every b_u >= -d, as all are negative.  The
+    last walked b, b_{k-1}, starts at its first value with e_max >= 0, the larger of
+    -d and -floor((d + b_1 + .. + b_{k-2} - ceil(d/2k^2))/2), so no leaf is empty for
+    want of an e; the walk reaches the same leaves with the same arguments.  a =
     a_1..a_{k-2} starts the weakly decreasing a with a_v <= b_v and a_1 <= 0 that sum
     to e - d, each at least the mean of the entries left and lowering e_max to what
     they can sum to; top = min(a_{k-2}, b_{k-1}) bounds a_{k-1} (a_0 = 0).  a_v >= -d
@@ -159,10 +162,9 @@ def _walk(k: int, d: int, visit: Callable[..., int]) -> int:
     def walk_b(b: tuple, sum_b: int) -> int:
         upper = b[-1] - min_step if b else -min_step
         if len(b) < k - 1:
-            return sum(walk_b(b + (value,), sum_b + value) for value in range(-d, upper + 1))
+            low = -d if len(b) < k - 2 else max(-d, -((d + sum_b - min_step) // 2))
+            return sum(walk_b(b + (value,), sum_b + value) for value in range(low, upper + 1))
         e_max = (upper + d + sum_b) // 2
-        if e_max < 0:
-            return 0
         return (walk_a if k > 2 else visit)(b, (), min(0, b[0]), sum_b, 0, e_max)
 
     return walk_b((), 0)
@@ -210,10 +212,17 @@ def _clipped_sum(P: int, R: int, D: int, lo: int, hi: int) -> int:
     total = 0
     for r in (0, 1):
         t_lo, t_hi, t_c = (lo - D + r + 1) // 2, (hi - D + r) // 2, (P - D + r - R) // 3
-        first, last = max(t_lo, (2 - D - R + r) // 2), min(t_hi, t_c)
-        total += max(0, last - first + 1) * (D + R - r + first + last)
-        first, last = max(t_lo, t_c + 1), min(t_hi, P - 1)
-        total += max(0, last - first + 1) * (2 * P - first - last) // 2
+        # plain comparisons: max() and min() calls cost three times as much here
+        first = (2 - D - R + r) // 2
+        if first < t_lo:
+            first = t_lo
+        last = t_c if t_c < t_hi else t_hi
+        if first <= last:
+            total += (last - first + 1) * (D + R - r + first + last)
+        first = t_c + 1 if t_c >= t_lo else t_lo
+        last = P - 1 if P <= t_hi else t_hi
+        if first <= last:
+            total += (last - first + 1) * (2 * P - first - last) // 2
     return total
 
 
@@ -253,9 +262,11 @@ def check_count_cost(k: int, ds: Iterable[int]) -> None:
 
 
 def brute_force_count(k: int, d: int) -> int:
-    """Independent oracle: scan the full box [-d, 0]^{2k} (small d only)."""
+    """Independent oracle: scan the full box [-d, 0]^{2k} (d <= 8, k <= 3 only)."""
+    if d < 1:
+        raise DomainError("dilation must be positive")
     if d > 8 or k > 3:
-        raise ResourceLimitError("box scan is for small d only")
+        raise ResourceLimitError(f"box scan of (k={k}, d={d}) exceeds the bound d <= 8, k <= 3")
     poly = _system(k)
     return sum(poly.satisfies(point, dilation=d) for point in itertools.product(range(-d, 1), repeat=2 * k))
 
@@ -320,7 +331,9 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
         if rank < dim or dim not in relations:
             continue
         point = tuple(-Fraction(relations[dim].get(c, 0)) for c in range(dim))
-        if poly.satisfies(point):
+        # the system is homogeneous: x lies in P exactly when L x lies in L P
+        scale = math.lcm(*(c.denominator for c in point))
+        if poly.satisfies([c.numerator * (scale // c.denominator) for c in point], dilation=scale):
             found.add(point)
     return tuple(sorted(found))
 
@@ -331,49 +344,67 @@ def polytope_denominator(k: int) -> int:
     return math.lcm(*(c.denominator for vertex in vertices(k) for c in vertex))
 
 
+def _lagrange_weights(xs: Sequence[int]) -> tuple[int, list[int]]:
+    """(L, [L / w_j]) for the distinct xs, w_j = prod over i != j of (x_j - x_i)
+    and L the lcm of the w_j: the Lagrange basis over one integer denominator."""
+    dens = [math.prod(x - y for y in xs if y != x) for x in xs]
+    scale = math.lcm(*dens)
+    return scale, [scale // w for w in dens]
+
+
 def _interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     """Ascending coefficients of the polynomial of degree len(points) - 1
-    through the points (distinct d), by Newton divided differences."""
+    through the points (distinct d), by Lagrange's formula over one integer
+    denominator: one Fraction per coefficient."""
     xs = [d for d, _ in points]
-    diffs = [Fraction(c) for _, c in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand diffs[0] + (d - x_0)(diffs[1] + (d - x_1)(diffs[2] + ...)) from the inside out
-    coeffs = [diffs[-1]]
-    for x, c in zip(reversed(xs[:-1]), reversed(diffs[:-1])):
-        coeffs = [u - x * v for u, v in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
-        coeffs[0] += c
-    return tuple(coeffs)
+    scale, weights = _lagrange_weights(xs)
+    # prod of (d - x), then each basis numerator prod over i != j by synthetic division
+    full = [1]
+    for x in xs:
+        full = [u - x * v for u, v in zip([0] + full, full + [0])]
+    numer = [0] * len(xs)
+    for x, (_, c), w in zip(xs, points, weights):
+        carry, factor = 0, c * w
+        for j in range(len(xs), 0, -1):
+            carry = full[j] + x * carry
+            numer[j - 1] += factor * carry
+    return tuple(Fraction(c, scale) for c in numer)
+
+
+def _fits(ds: list[int], counts: Mapping[int, int], degree: int) -> bool:
+    """Whether one polynomial of the degree passes through every (d, counts[d]):
+    the top divided difference of each degree + 2 consecutive samples, scaled
+    to an integer, is 0."""
+    for start in range(len(ds) - degree - 1):
+        window = ds[start:start + degree + 2]
+        if sum(counts[d] * w for d, w in zip(window, _lagrange_weights(window)[1])):
+            return False
+    return True
 
 
 def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
     """Least consistent period with exact per-residue interpolation.
 
     The period search is bounded by the lcm of the polytope's vertex
-    denominators, which the Ehrhart period divides.  Each residue class is
-    interpolated through its first 2k samples and every remaining sample
-    must be reproduced exactly; any residual rules the period out, so the
-    smaller candidate periods face the most validation points.
+    denominators, which the Ehrhart period divides.  A period stands when
+    each residue class holds at least 2k samples and one polynomial of degree
+    2k-1 passes through all of them (an integer test); any residual rules it out,
+    so the smaller candidate periods face the most validation points.  Each
+    class of a period that stands is interpolated through its first 2k
+    samples, and the constituents must share a positive leading coefficient.
     """
     if k < 2:
         raise DomainError("quasipolynomial fitting needs k >= 2")
     degree = 2 * k - 1
-    needed = degree + 1
     ds = sorted(counts)
     for period in range(1, polytope_denominator(k) + 1):
-        classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+        classes: list[list[int]] = [[] for _ in range(period)]
         for d in ds:
-            classes[d % period].append((d, counts[d]))
-        if any(len(pts) < needed for pts in classes):
+            classes[d % period].append(d)
+        if any(len(c) <= degree for c in classes):
             continue
-        polys = []
-        for pts in classes:
-            coeffs = _interpolate(pts[:needed])
-            if any(eval_poly(coeffs, d) != c for d, c in pts[needed:]):
-                break
-            polys.append(coeffs)
-        else:
+        if all(_fits(c, counts, degree) for c in classes):
+            polys = [_interpolate([(d, counts[d]) for d in c[:degree + 1]]) for c in classes]
             if len({p[-1] for p in polys}) == 1 and polys[0][-1] > 0:
                 return QuasiPolynomial(period, tuple(polys))
     raise FitError(f"no consistent period <= {polytope_denominator(k)} found")

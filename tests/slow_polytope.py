@@ -2,8 +2,12 @@
 unchanged as references: the enumerator that walks every b coordinate and then
 filters by sum and parity (now the count's walk, with the last b and the last
 two a read off per leaf), the count-only lattice kernel that loops over every b
-coordinate, the last one included (now summed in closed form), and the vertex
-solve by dense row reduction of [coeffs | rhs] (now a sparse column relation)."""
+coordinate, the last one included (now summed in closed form), the vertex
+solve by dense row reduction of [coeffs | rhs] (now a sparse column relation),
+and the fit that interpolated every residue class of each candidate period by
+Newton divided differences over Fractions and then checked the remaining
+samples (now an integer window test, and one interpolation per class of the
+period that passes it)."""
 
 from __future__ import annotations
 
@@ -11,8 +15,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from glsuper.errors import DegenerateCaseError, DomainError, ResourceLimitError
-from glsuper.polytope import ENUM_MAX_D, ENUM_MAX_K, _check_count_k, _system
+from glsuper.errors import DegenerateCaseError, DomainError, FitError, ResourceLimitError
+from glsuper.polytope import (
+    ENUM_MAX_D,
+    ENUM_MAX_K,
+    QuasiPolynomial,
+    _check_count_k,
+    _system,
+    eval_poly,
+    polytope_denominator,
+)
 from glsuper.ratlinalg import rref
 
 
@@ -138,3 +150,47 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
         if poly.satisfies(point):
             found.add(point)
     return tuple(sorted(found))
+
+
+def interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the polynomial of degree len(points) - 1
+    through the points (distinct d), by Newton divided differences."""
+    xs = [d for d, _ in points]
+    diffs = [Fraction(c) for _, c in points]
+    for level in range(1, len(points)):
+        for i in range(len(points) - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
+    # expand diffs[0] + (d - x_0)(diffs[1] + (d - x_1)(diffs[2] + ...)) from the inside out
+    coeffs = [diffs[-1]]
+    for x, c in zip(reversed(xs[:-1]), reversed(diffs[:-1])):
+        coeffs = [u - x * v for u, v in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        coeffs[0] += c
+    return tuple(coeffs)
+
+
+def fit_quasipolynomial(counts: dict[int, int], k: int) -> QuasiPolynomial:
+    """Least consistent period with exact per-residue interpolation.
+
+    Each residue class of each candidate period is interpolated through its
+    first 2k samples, and every remaining sample must be reproduced exactly.
+    """
+    if k < 2:
+        raise DomainError("quasipolynomial fitting needs k >= 2")
+    needed = 2 * k
+    ds = sorted(counts)
+    for period in range(1, polytope_denominator(k) + 1):
+        classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+        for d in ds:
+            classes[d % period].append((d, counts[d]))
+        if any(len(pts) < needed for pts in classes):
+            continue
+        polys = []
+        for pts in classes:
+            coeffs = interpolate(pts[:needed])
+            if any(eval_poly(coeffs, d) != c for d, c in pts[needed:]):
+                break
+            polys.append(coeffs)
+        else:
+            if len({p[-1] for p in polys}) == 1 and polys[0][-1] > 0:
+                return QuasiPolynomial(period, tuple(polys))
+    raise FitError(f"no consistent period <= {polytope_denominator(k)} found")

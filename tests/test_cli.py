@@ -124,7 +124,7 @@ def test_classify_computes_each_block_descriptor_once(capsys, monkeypatch):
 
     args = ("classify", "--m", "4", "--n", "3", "--sample", "6", "--seed", "3")
     _, expected, _ = run(capsys, *args)
-    monkeypatch.setattr(glsuper.cli, "atypicality", counted)
+    # the CLI reads weights.atypicality at call time
     monkeypatch.setattr(weights, "atypicality", counted)
     code, out, _ = run(capsys, *args)
     assert code == 0 and out == expected
@@ -638,6 +638,8 @@ def test_reruns_are_byte_identical(argv):
         # (20, 10, 0, 0) built 61,226 patterns before the guard moved into gt_patterns
         (lambda: gt_patterns((20, 10, 0, 0)), "dimension 61226 exceeds GT_MAX_DIM = 10000"),
         (lambda: count_lattice_points(4, 5), "k=4 exceeds ENUM_MAX_K = 3"),
+        (lambda: polytope.brute_force_count(3, 9), "box scan of (k=3, d=9) exceeds the bound d <= 8, k <= 3"),
+        (lambda: polytope.brute_force_count(4, 2), "box scan of (k=4, d=2) exceeds the bound d <= 8, k <= 3"),
         (lambda: count_lattice_points(2, 500), "d=500 exceeds ENUM_MAX_D = 200"),
         (
             lambda: enumerate_lattice_points(2, 500),

@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
 
 LAZY = {
+    "glsuper.weights",
+    "glsuper.dimensions",
     "glsuper.ratlinalg",
     "glsuper.polytope",
     "glsuper.suzhang",
@@ -35,11 +37,9 @@ ALWAYS = {
     "glsuper._lazy",
     "glsuper._record",
     "glsuper.cli",
-    "glsuper.dimensions",
     "glsuper.errors",
     "glsuper.invariants",
     "glsuper.oracle",
-    "glsuper.weights",
 }
 
 RAN = """
@@ -72,24 +72,28 @@ CASES = pytest.mark.parametrize(
     "argv, used, exit_code",
     [
         ([], set(), 0),
-        (["classify", "--m", "2", "--n", "1", "--weight", "0,0,0"], set(), 0),
+        (["classify", "--m", "2", "--n", "1", "--weight", "0,0,0"], {"weights", "dimensions"}, 0),
         (["ehrhart", "--k", "2", "--dmax", "10"], {"polytope", "ratlinalg"}, 0),
         (
             ["invariants", "--m", "3", "--n", "2", "--kind", "kac", "--weight", "0,0,0,0,0", "--verify"],
-            {"ratlinalg", "oracle.gt", "oracle.modules"},
+            {"weights", "dimensions", "ratlinalg", "oracle.gt", "oracle.modules"},
             0,
         ),
         (
             ["invariants", "--m", "1", "--n", "1", "--kind", "simple", "--weight", "0,0", "--verify"],
-            {"ratlinalg", "oracle.gl11"},
+            {"weights", "ratlinalg", "oracle.gl11"},
             0,
         ),
         (
             ["resolve", "--target", "simple", "--depth", "3", "--kl-window", "1"],
-            {"ratlinalg", "oracle.gl11"},
+            {"weights", "ratlinalg", "oracle.gl11"},
             0,
         ),
-        (["resolve", "--target", "kac", "--depth", "40"], {"ratlinalg", "oracle.gl11"}, 64),
+        (
+            ["resolve", "--target", "kac", "--depth", "40"],
+            {"weights", "ratlinalg", "oracle.gl11"},
+            64,
+        ),
     ],
     ids=[
         "import", "classify", "ehrhart", "invariants-verify", "invariants-verify-gl11",
@@ -106,6 +110,29 @@ def test_each_subcommand_runs_only_the_modules_it_uses(argv, used, exit_code):
     assert code == exit_code
     assert set(present) == ALWAYS | LAZY
     assert set(ran) == ALWAYS | {f"glsuper.{name}" for name in used}
+
+
+ONE_WEIGHTS = """
+import glsuper.cli, glsuper.dimensions, glsuper.invariants, glsuper.oracle.modules
+from glsuper import weights
+from glsuper.weights import SuperParams, Weight
+print(all([
+    glsuper.invariants.weights is weights is glsuper.weights,
+    glsuper.dimensions.SuperParams is glsuper.oracle.modules.SuperParams is SuperParams,
+    glsuper.dimensions.Weight is glsuper.oracle.modules.Weight is Weight,
+    type(glsuper.invariants.variety_dims(
+        glsuper.invariants.ModuleKind.KAC, Weight.zero(SuperParams(2, 1))
+    )).__name__ == "InvariantReport",
+]))
+"""
+
+
+def test_weights_is_registered_before_any_module_imports_it():
+    # an eager module that imports weights before _lazy.register runs would
+    # load a second copy of it, with a second Weight and SuperParams class
+    proc = _python(ONE_WEIGHTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 @functools.cache

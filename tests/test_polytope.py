@@ -117,6 +117,15 @@ def test_polytope_needs_positive_k(call, k):
         call(k)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [0, -1])
+def test_box_scan_needs_positive_dilation(k, d):
+    # as count_lattice_points and enumerate_lattice_points do; the scan
+    # counted the origin at d = 0 before
+    with pytest.raises(DomainError, match="dilation must be positive"):
+        brute_force_count(k, d)
+
+
 def test_enumeration_matches_box_scan():
     for d, frozen in FROZEN_COUNTS_K2.items():
         assert count_lattice_points(2, d) == frozen
@@ -166,9 +175,10 @@ def _direct_clipped_sum(P, R, D, lo, hi):
 
 
 # the rising and falling parts of the minimum cross near e = (2(P - R) + D)/3, which is
-# 6 for (P, R, D) = (10, 1, 0)
-@settings(max_examples=400, deadline=None)
-@given(*[st.integers(-40, 40)] * 5)
+# 6 for (P, R, D) = (10, 1, 0); the k = 3 walk calls it with |P|, |R|, |D| and e_max
+# up to about 400, and small arguments hit the branch edges more often
+@settings(max_examples=800, deadline=None)
+@given(*[st.integers(-40, 40) | st.integers(-400, 400)] * 5)
 @example(10, 1, 0, 3, 2)  # hi < lo
 @example(-5, -50, 0, 0, 10)  # every term negative
 @example(10, 1, 0, 6, 20)  # crossover at lo
@@ -287,7 +297,47 @@ def test_interpolate_matches_vandermonde_solve(case):
     ds, values = case
     vander = [[Fraction(d) ** j for j in range(len(ds))] for d in ds]
     expected = tuple(row[0] for row in solve(vander, [[Fraction(c)] for c in values]))
-    assert polytope._interpolate(list(zip(ds, values))) == expected
+    points = list(zip(ds, values))
+    assert polytope._interpolate(points) == expected
+    assert slow_polytope.interpolate(points) == expected
+
+
+@st.composite
+def _quasipolynomial_counts(draw):
+    """Integer counts of a degree-3 quasipolynomial of period 1..12 at the
+    d = 1..top not removed; its leading coefficients are mostly one positive
+    number, and one count may be off by a little."""
+    period = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0, -1]))
+    mixed = draw(st.sampled_from([False, False, False, False, True]))
+    polys = [
+        [*draw(st.lists(st.integers(-60, 60), min_size=3, max_size=3)),
+         draw(st.integers(-1, 3)) if mixed else lead]
+        for _ in range(period)
+    ]
+    top = 180 - draw(st.integers(0, 172))  # hypothesis favours small draws
+    removed = draw(st.sets(st.integers(1, top), max_size=top // 4))
+    counts = {d: int(eval_poly(polys[d % period], d)) for d in range(1, top + 1) if d not in removed}
+    if counts and draw(st.sampled_from([False, False, False, True])):
+        planted = draw(st.sampled_from(sorted(counts)))
+        counts[planted] += draw(st.sampled_from([-1, 1, 12]))
+    return counts
+
+
+def _fit_or_error(fit, counts):
+    try:
+        return fit(counts, 2)
+    except FitError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quasipolynomial_counts())
+def test_fit_matches_interpolate_then_check_oracle(counts):
+    # the integer window test and the one interpolation per accepted class
+    # pick the period, constituents and refusal of the earlier search
+    expected = _fit_or_error(slow_polytope.fit_quasipolynomial, counts)
+    assert _fit_or_error(fit_quasipolynomial, counts) == expected
 
 
 def test_fit_quasipolynomial(counts_k2):
