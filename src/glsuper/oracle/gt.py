@@ -8,9 +8,9 @@ leave the pattern lattice are dropped, which is consistent because the
 numerators vanish on the boundary in the raising direction and the dropped
 lowering terms correspond to the zero vector.
 
-check_super_brackets tests the superbracket relations of any such sparse
-actions exactly: on weight-packed columns when the actions are weight
-graded, and pair by pair with sparse products otherwise.
+check_super_brackets is the one check that sparse actions make a
+supermodule: layout, Z2 grading and exact superbrackets, on weight-packed
+columns when the actions are weight graded and by sparse products otherwise.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, count, product, repeat
-from operator import add, attrgetter, eq, lshift, mul, neg, sub
+from operator import add, attrgetter, eq, lshift, mul, neg, sub, xor
 
 from .._record import Record
 from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
@@ -64,19 +64,12 @@ def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction,
     return list(zip(*diags))
 
 
-def check_layout(actions: dict[Unit, SparseCols], dim: int) -> None:
-    """Refuse actions unless every unit has dim columns with row indices in 0..dim - 1."""
-    for unit, cols in actions.items():
-        if len(cols) != dim:
-            raise ParameterError(f"{unit} must have {dim} columns")
-        rows = list(chain.from_iterable(cols))
-        if rows and not 0 <= min(rows) <= max(rows) < dim:
-            bad = next(i for i in rows if not 0 <= i < dim)
-            raise ParameterError(f"{unit} has row index {bad} outside 0..{dim - 1}")
+def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, parity) -> None:
+    """Refuse actions unless they make a supermodule graded by the labels parity.
 
-
-def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> None:
-    """Exact superbracket relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
+    From each unit's entries, flattened once, it refuses in turn a malformed
+    layout (ParameterError), a unit that breaks the Z2 grading, and a failing
+    relation XY - (-1)^{|X||Y|} YX = [X, Y] (both InternalCheckError).
 
     Each unordered pair is checked once: swapping X and Y multiplies both
     sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
@@ -99,24 +92,37 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     if c is its lowest nonzero entry, in slot p, the sum is 2^(W p) (c + 2^W
     q) for an int q, and 0 < |c| < 2^W.  Other actions are checked pair by
     pair with sparse products of the scaled columns, in _check_by_products.
-    A malformed layout is refused first, by check_layout.
     """
-    check_layout(actions, dim)
-    entries = chain.from_iterable(map(dict.values, chain.from_iterable(actions.values())))
+    # per unit, its entries in column order: rows, columns, values, and where each column ends
+    flat = {}
+    for unit, cols in actions.items():
+        if len(cols) != dim:
+            raise ParameterError(f"{unit} must have {dim} columns")
+        rows = list(chain.from_iterable(cols))
+        if rows and not 0 <= min(rows) <= max(rows) < dim:
+            bad = next(i for i in rows if not 0 <= i < dim)
+            raise ParameterError(f"{unit} has row index {bad} outside 0..{dim - 1}")
+        col_of = list(chain.from_iterable(map(repeat, range(dim), map(len, cols))))
+        flat[unit] = rows, col_of, list(chain.from_iterable(map(dict.values, cols))), list(accumulate(map(len, cols)))
+    bits = [label % 2 for label in parity]
+    for unit, (rows, col_of, vals, _) in flat.items():
+        flip = unit_parity(m, unit)
+        # entry (i, j) needs bits[i] ^ bits[j] == flip; a failing unit is read for its first nonzero one
+        if not all(map(eq, map(xor, map(bits.__getitem__, rows), map(bits.__getitem__, col_of)), repeat(flip))):
+            for i, j, val in zip(rows, col_of, vals):
+                if val and bits[i] ^ bits[j] != flip:
+                    raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
+    slots = _weight_slots(flat, dim)
+    entries = chain.from_iterable(vals for _, _, vals, _ in flat.values())
     scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
-    slots = _weight_slots(actions, dim)
-    if slots is None:
-        _check_by_products(actions, dim, m, scale)
-        return
-    # per unit, its entries in column order: row indices, entries scaled by D,
-    # and where each column ends among them
     flat = {
-        unit: (list(chain.from_iterable(cols)),
-               [val.numerator * (scale // val.denominator) for val in chain.from_iterable(map(dict.values, cols))],
-               list(accumulate(map(len, cols))))
-        for unit, cols in actions.items()
+        unit: (rows, col_of, [val.numerator * (scale // val.denominator) for val in vals], ends)
+        for unit, (rows, col_of, vals, ends) in flat.items()
     }
-    top = max((max(map(abs, vals), default=0) for _, vals, _ in flat.values()), default=0)
+    if slots is None:
+        _check_by_products(flat, dim, m, scale)
+        return
+    top = max((max(map(abs, vals), default=0) for _, _, vals, _ in flat.values()), default=0)
     width = (2 * (max(slots, default=0) + 1) * top * top + 2 * scale * top).bit_length() + 1
     shifts = [width * slot for slot in slots]
 
@@ -128,7 +134,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     # per unit, its packed columns, and their running sums times D for the
     # [X, Y] side of a relation
     packed, bracket_sums = {}, {}
-    for unit, (rows, vals, ends) in flat.items():
+    for unit, (rows, _, vals, ends) in flat.items():
         sums = running_sums(map(lshift, vals, map(shifts.__getitem__, rows)), ends)
         packed[unit] = list(map(sub, sums, [0] + sums[:-1]))
         bracket_sums[unit] = list(map(mul, repeat(scale), sums))
@@ -137,7 +143,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
     # j exactly when the columns do
     def packed_product(left: Unit, right: Unit) -> list[int]:
         """Running sums of the packed columns of left' right'."""
-        rows, vals, ends = flat[right]
+        rows, _, vals, ends = flat[right]
         return running_sums(map(mul, vals, map(packed[left].__getitem__, rows)), ends)
 
     units = [unit for unit in sorted(actions) if unit[0] != unit[1]]
@@ -156,26 +162,27 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> N
                 raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
-def _weight_slots(actions: dict[Unit, SparseCols], dim: int) -> list[int] | None:
+def _weight_slots(flat: dict[Unit, tuple[list, list, list, list]], dim: int) -> list[int] | None:
     """Each basis vector's index inside its weight space, or None unless the actions are graded.
 
     Graded means that every E_ss acts diagonally with integral eigenvalues
     and that every unit E_ab maps each basis vector of weight mu into the
     span of those of weight mu + e_a - e_b.
     """
-    weights = basis_weights(actions)
-    if weights is None or len(weights) != dim or any(type(x) is not int for w in weights for x in w):
-        return None
+    diagonal = sorted(u for u in flat if u[0] == u[1])
+    weights = []
+    for rows, col_of, vals, _ in map(flat.__getitem__, diagonal):
+        if rows != col_of or not set(map(type, vals)) <= {int}:
+            return None
+        weights.append(list(map(dict(zip(rows, vals)).get, range(dim), repeat(0))))
     # weight w has key sum(w_s base^t), t the position of s among the diagonal
     # units; base exceeds twice every |w_s| + 1, so keys of weights and of
     # their shifts by e_a - e_b are equal only for equal vectors
-    base = 2 * max((abs(x) for w in weights for x in w), default=0) + 3
-    power = {s: base ** t for t, (s, _) in enumerate(sorted(u for u in actions if u[0] == u[1]))}
-    keys = [sum(map(mul, w, power.values())) for w in weights]
-    for (a, b), cols in actions.items():
-        rows = list(chain.from_iterable(cols))
-        column_keys = map(keys.__getitem__, chain.from_iterable(map(repeat, range(dim), map(len, cols))))
-        targets = map(add, column_keys, repeat(power.get(a, 0) - power.get(b, 0)))
+    base = 2 * max(map(abs, chain.from_iterable(weights)), default=0) + 3
+    power = {s: base ** t for t, (s, _) in enumerate(diagonal)}
+    keys = [sum(map(mul, w, power.values())) for w in zip(*weights)] if weights else [0] * dim
+    for (a, b), (rows, col_of, _, _) in flat.items():
+        targets = map(add, map(keys.__getitem__, col_of), repeat(power.get(a, 0) - power.get(b, 0)))
         if not all(map(eq, map(keys.__getitem__, rows), targets)):
             return None
     spaces: dict[int, int] = defaultdict(int)
@@ -186,14 +193,14 @@ def _weight_slots(actions: dict[Unit, SparseCols], dim: int) -> list[int] | None
     return slots
 
 
-def _check_by_products(actions: dict[Unit, SparseCols], dim: int, m: int, scale: int) -> None:
+def _check_by_products(flat: dict[Unit, tuple[list, list, list, list]], dim: int, m: int, scale: int) -> None:
     """check_super_brackets for any actions: X'Y' = (-1)^{|X||Y|} Y'X' + D [X, Y]'
     per pair, by sparse products of the columns scaled by D."""
     scaled = {
-        unit: [{i: val.numerator * (scale // val.denominator) for i, val in col.items()} for col in cols]
-        for unit, cols in actions.items()
+        unit: [dict(zip(rows[start:end], vals[start:end])) for start, end in zip([0, *ends], ends)]
+        for unit, (rows, _, vals, ends) in flat.items()
     }
-    units = sorted(actions)
+    units = sorted(flat)
     for pos, left in enumerate(units):
         for right in units[pos:]:
             sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
@@ -266,7 +273,7 @@ class GlRep(Record):
 
     def check_brackets(self) -> None:
         """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, exactly, on all unit pairs."""
-        check_super_brackets(self.actions, self.dim, self.r)
+        check_super_brackets(self.actions, self.dim, self.r, (0,) * self.dim)
 
 
 def _l_value(row: tuple[int, ...], i: int) -> int:

@@ -9,8 +9,9 @@ module.  Every unit x follows one straightening rule, x (w ^ r) = [x, w] r +
 (-1)^{|x|} w ^ (x r), which reads columns built before: [x, w] is 0 for x on
 the wedge side, a wedge unit for even x and an even unit for the opposite
 odd side, and r has fewer exterior factors.
-Every constructed module is validated against the full set of superbracket
-relations.
+Every constructed module is validated by one pass of gt.check_super_brackets
+over each unit's entries: its layout, its Z2 grading and the full set of
+superbracket relations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..weights import SuperParams, Weight, require_dominant
 from .gt import (
     Unit,
     basis_weights,
-    check_layout,
     check_super_brackets,
     gl_simple,
     super_bracket_units,
@@ -60,25 +60,15 @@ class MatrixModule(Record, frozen=False):
             raise ParameterError("actions must cover every matrix unit")
         if len(self.parity) != self.dim:
             raise ParameterError("parity labels must match the dimension")
-        check_layout(self.actions, self.dim)
-        self._check_parity()
         self.check_brackets()
 
     def action(self, i: int, j: int) -> SparseCols:
         return self.actions[(i, j)]
 
-    def _check_parity(self) -> None:
-        # odd units flip the Z2 label of a basis vector, even units preserve it
-        for unit, cols in self.actions.items():
-            flip = unit_parity(self.params.m, unit)
-            for j, col in enumerate(cols):
-                for i, val in col.items():
-                    if val and (self.parity[i] + self.parity[j]) % 2 != flip:
-                        raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
-
     def check_brackets(self) -> None:
-        """Exact superbracket check [E_ab, E_cd] over all generator pairs."""
-        check_super_brackets(self.actions, self.dim, self.params.m)
+        """The layout, the Z2 grading by the parity labels and the exact
+        superbrackets [E_ab, E_cd] over all generator pairs, in one pass."""
+        check_super_brackets(self.actions, self.dim, self.params.m, self.parity)
 
     def weight_diagonal(self) -> list[tuple[int, ...]]:
         """Per basis vector, the eigenvalue tuple of the diagonal units E_ii."""
@@ -258,26 +248,24 @@ def odd_projectivity_test(module: MatrixModule, element: OddElement) -> bool:
     return 2 * sparse_rank(x) == module.dim
 
 
-def standard_rank_element(params: SuperParams, side: int, r: int) -> OddElement:
-    """The rank-r orbit representative E_{1,m+1} + ... + E_{r,m+r} (or its transpose)."""
+def _odd_element(params: SuperParams, side: int, r: int, reverse: bool) -> OddElement:
+    """E_{i_1,m+1} + ... + E_{i_r,m+r} (or its transpose), i_t = m - t + 1 if reverse else t."""
     if not 0 <= r <= params.n:
         raise DomainError(f"rank {r} out of range 0..{params.n}")
-    if side == 1:
-        return tuple(((t, params.m + t), 1) for t in range(1, r + 1))
-    if side == -1:
-        return tuple(((params.m + t, t), 1) for t in range(1, r + 1))
-    raise ParameterError("side must be +1 or -1")
+    if side not in (1, -1):
+        raise ParameterError("side must be +1 or -1")
+    units = [(params.m - t + 1 if reverse else t, params.m + t) for t in range(1, r + 1)]
+    return tuple((unit if side == 1 else unit[::-1], 1) for unit in units)
+
+
+def standard_rank_element(params: SuperParams, side: int, r: int) -> OddElement:
+    """The rank-r orbit representative E_{1,m+1} + ... + E_{r,m+r} (or its transpose)."""
+    return _odd_element(params, side, r, reverse=False)
 
 
 def f_odd_element(params: SuperParams, side: int, r: int) -> OddElement:
     """Rank-r element of the detecting subalgebra: antidiagonal units E_{m-t+1, m+t}."""
-    if not 0 <= r <= params.n:
-        raise DomainError(f"rank {r} out of range 0..{params.n}")
-    if side == 1:
-        return tuple(((params.m - t + 1, params.m + t), 1) for t in range(1, r + 1))
-    if side == -1:
-        return tuple(((params.m + t, params.m - t + 1), 1) for t in range(1, r + 1))
-    raise ParameterError("side must be +1 or -1")
+    return _odd_element(params, side, r, reverse=True)
 
 
 def rank_variety(module: MatrixModule, side: int) -> int:

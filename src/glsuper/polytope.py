@@ -38,6 +38,11 @@ from .ratlinalg import sparse_relations
 
 ENUM_MAX_K = 3
 ENUM_MAX_D = 200
+# enumerate_lattice_points lists at most this many points, counted first.  build_S
+# takes 35 to 56 us and 0.5 KB per point on 2 CPUs with Python 3.11, so the bound is
+# about 4 s, a fifteenth of the 60 s limit of one benchmark op; k = 3, d = 200
+# (6,336,824 points) took 5.7 s and about 1 GB to list alone.
+ENUM_MAX_POINTS = 70_000
 # count_lattice_points(k, d) makes about d^(2k-3) / _CALL_DIVISOR[k] _clipped_sum
 # calls: d/3.0 to d/3.4 (k=2) and d^3/102 to d^3/148 (k=3) for d = 50..200, and
 # summed over d = 1..D, D >= 30, the prediction is 8% under to 13% over the count.
@@ -173,6 +178,7 @@ def _walk(k: int, d: int, visit: Callable[..., int]) -> int:
 def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
     """All integer points of the d-dilated polytope, lexicographically sorted.
 
+    Refuses more than ENUM_MAX_POINTS points, counted before any is listed.
     At each leaf of _walk and each e, a_{k-1} runs up to top from the larger of
     ceil(rest/2) (a_k <= a_{k-1}) and rest - b_k (a_k <= b_k), rest = a_{k-1} + a_k.
     """
@@ -183,6 +189,11 @@ def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
     if k > ENUM_MAX_K or d > ENUM_MAX_D:
         raise ResourceLimitError(
             f"(k={k}, d={d}) exceeds (ENUM_MAX_K, ENUM_MAX_D) = ({ENUM_MAX_K}, {ENUM_MAX_D})"
+        )
+    total = count_lattice_points(k, d)
+    if total > ENUM_MAX_POINTS:
+        raise ResourceLimitError(
+            f"(k={k}, d={d}) has {total} points, over the bound ENUM_MAX_POINTS = {ENUM_MAX_POINTS}"
         )
     points: list[tuple[int, ...]] = []
 

@@ -82,31 +82,22 @@ def _nu_k1(params: SuperParams) -> Weight:
     """The unique weight of the atypicality-one block B with length zero.
 
     The block bijection onto the principal block of gl(1|1) preserves length
-    and length is injective there, so searching the block for length zero
-    pins down the preimage of the zero weight.  Weights of B are built by
-    inserting a test value s into the left core values and -s into the
-    negated right core values, both kept strictly decreasing.
+    and length is injective there, so the weight of B with length zero is the
+    preimage of the zero weight.  A weight of B inserts a value s into the
+    left core values of lambda+rho and -s into the negated right ones, and its
+    length is s - m + #{core_left > s} - #{core_right < s}, which grows with s
+    over the admissible values.  It is zero at s = 1, which gives
+    (max(m-1-i, 0) for i = 1..m | 0, 4-2m-j for j = 2..n); the block key and
+    the length are checked.
     """
     m, n = params.m, params.n
-    core_left = _core_left_closed_form(params, 1)
-    core_right = _core_right_closed_form(params, 1)
-    found = []
-    for s in range(-(2 * m + 2 * n + 4), 2 * m + 2 * n + 5):
-        left_vals = sorted(core_left + (s,), reverse=True)
-        right_raws = sorted([-c for c in core_right] + [-s], reverse=True)
-        if len(set(left_vals)) < m or len(set(right_raws)) < n:
-            continue
-        coeffs = [left_vals[i] - (m - i) for i in range(m)]
-        coeffs += [right_raws[j] + (j + 1) for j in range(n)]
-        w = Weight(params, tuple(coeffs))
-        desc = atypicality(w)
-        if desc.block_key() != (1, core_left, core_right):
-            continue
-        if length(w) == 0:
-            found.append(w)
-    if len(found) != 1:
-        raise InternalCheckError(f"expected a unique length-zero weight in B, found {found}")
-    return found[0]
+    coeffs = tuple(max(m - 1 - i, 0) for i in range(1, m + 1)) + (0,)
+    w = Weight(params, coeffs + tuple(4 - 2 * m - j for j in range(2, n + 1)))
+    desc = atypicality(w)
+    key = (1, _core_left_closed_form(params, 1), _core_right_closed_form(params, 1))
+    if desc.block_key() != key or length(w, desc) != 0:
+        raise InternalCheckError(f"{w} is not the length-zero weight of B")
+    return w
 
 
 def nu(params: SuperParams, k: int) -> Weight:

@@ -1,8 +1,8 @@
-"""Slow oracles for glsuper.oracle: the superbracket check by sparse matrix
-products per pair, and the Kac-module construction that straightens the
-odd generators recursively.  Both are the package's earlier implementations,
-kept unchanged as references for the integer bracket check and the
-column-reading construction."""
+"""Slow oracles for glsuper.oracle: the parity loop and the superbracket
+check by sparse matrix products per pair, and the Kac-module construction
+that straightens the odd generators recursively.  All are the package's
+earlier implementations, kept unchanged as references for the one-pass
+module check and the column-reading construction."""
 
 from __future__ import annotations
 
@@ -15,13 +15,21 @@ from glsuper.ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 from glsuper.weights import SuperParams, Weight, require_dominant
 
 
-def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int) -> None:
-    """Exact superbracket relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
+def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, parity) -> None:
+    """The Z2 grading by the parity labels, then the exact superbracket
+    relation XY - (-1)^{|X||Y|} YX = [X, Y] for every pair of units.
 
     Each unordered pair is checked once: swapping X and Y multiplies both
     sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
     exactly when this one does.
     """
+    # odd units flip the Z2 label of a basis vector, even units preserve it
+    for unit, cols in actions.items():
+        flip = unit_parity(m, unit)
+        for j, col in enumerate(cols):
+            for i, val in col.items():
+                if val and (parity[i] + parity[j]) % 2 != flip:
+                    raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
     units = sorted(actions)
     for pos, left in enumerate(units):
         for right in units[pos:]:

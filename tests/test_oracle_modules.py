@@ -237,10 +237,10 @@ def test_column_errors_do_not_cancel_across_slots():
     assert gt.basis_weights(actions) == [(1, 0), (1, 0), (0, 1), (0, 1)]
     for check in (check_super_brackets, slow_modules.check_super_brackets):
         with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(2, 1\)$"):
-            check(actions, 4, 2)
+            check(actions, 4, 2, (0,) * 4)
 
 
-# (actions, dim, m) of valid modules: Kac and dual Kac modules, some with
+# (actions, dim, m, parity) of valid modules: Kac and dual Kac modules, some with
 # fractional entries, Gelfand-Tsetlin models of simple gl(r) modules, and
 # Kac modules in other bases: two where the E_ss are not diagonal, one of
 # them at the benchmark's dimension 192, and one with very large entries and
@@ -268,13 +268,14 @@ BRACKET_CASES = {
 @functools.cache
 def bracket_case(name):
     module = BRACKET_CASES[name]()
-    m = module.params.m if isinstance(module, MatrixModule) else module.r
-    return module.actions, module.dim, m
+    if isinstance(module, MatrixModule):
+        return module.actions, module.dim, module.params.m, module.parity
+    return module.actions, module.dim, module.r, (0,) * module.dim
 
 
-def bracket_outcome(check, actions, dim, m):
+def bracket_outcome(check, actions, dim, m, parity):
     try:
-        check(actions, dim, m)
+        check(actions, dim, m, parity)
     except InternalCheckError as exc:
         return str(exc)
     return None
@@ -287,7 +288,7 @@ NONZERO = st.fractions(-3, 3, max_denominator=4).filter(bool)
 @given(st.data())
 def test_integer_bracket_check_matches_slow_oracle(data):
     name = data.draw(st.sampled_from(sorted(BRACKET_CASES)), label="module")
-    base, dim, m = bracket_case(name)
+    base, dim, m, parity = bracket_case(name)
     actions = {unit: [dict(col) for col in cols] for unit, cols in base.items()}
     kind = data.draw(st.sampled_from(["none", "change", "add", "delete", "scale"]), label="kind")
     units = sorted(actions)
@@ -308,8 +309,8 @@ def test_integer_bracket_check_matches_slow_oracle(data):
     elif kind == "scale":
         c = data.draw(NONZERO.filter(lambda c: c != 1), label="scale")
         actions = {u: [{i: exact(c * v) for i, v in col.items()} for col in cols] for u, cols in actions.items()}
-    fast = bracket_outcome(check_super_brackets, actions, dim, m)
-    assert fast == bracket_outcome(slow_modules.check_super_brackets, actions, dim, m)
+    fast = bracket_outcome(check_super_brackets, actions, dim, m, parity)
+    assert fast == bracket_outcome(slow_modules.check_super_brackets, actions, dim, m, parity)
     if kind == "none":
         assert fast is None
 
@@ -402,6 +403,52 @@ def test_broken_parity_rejected():
         MatrixModule(P11, 2, actions, (0, 0))
 
 
+# v0 of weight (0|0) and v1 of weight (1|-1), E12: v0 -> v1 and E21 = 0: every
+# superbracket holds ([E12, E21] = E11 + E22 = 0), but both vectors are even
+# while E12 is odd, so only the Z2 grading is broken
+PARITY_ONLY_GL11 = {(1, 1): [{}, {1: 1}], (2, 2): [{}, {1: -1}], (1, 2): [{1: 1}, {}], (2, 1): [{}, {}]}
+
+
+def test_module_breaking_only_parity_rejected():
+    even = (0, 0)
+    for check in (check_super_brackets, slow_modules.check_super_brackets):
+        with pytest.raises(InternalCheckError, match=r"^\(1, 2\) breaks the parity grading at \(1, 0\)$"):
+            check(PARITY_ONLY_GL11, 2, P11.m, even)
+    with pytest.raises(InternalCheckError, match=r"^\(1, 2\) breaks the parity grading at \(1, 0\)$"):
+        MatrixModule(P11, 2, PARITY_ONLY_GL11, even)
+    # with v1 odd it is a module, so the parity labels are all that was wrong
+    check_super_brackets(PARITY_ONLY_GL11, 2, P11.m, (0, 1))
+    slow_modules.check_super_brackets(PARITY_ONLY_GL11, 2, P11.m, (0, 1))
+    assert MatrixModule(P11, 2, PARITY_ONLY_GL11, (0, 1)).dim == 2
+
+
+def test_check_brackets_rejects_parity_edit_of_built_module():
+    # check_brackets checks the grading too, so an edit after construction is caught
+    module = kac_module(Weight.zero(P11))
+    module.check_brackets()
+    module.parity = (0, 0)
+    with pytest.raises(InternalCheckError, match=r"^\(2, 1\) breaks the parity grading at \(1, 0\)$"):
+        module.check_brackets()
+    module = kac_module(Weight(P21, (1, 0, 0)))
+    assert module.parity[:3] == (0, 0, 1)
+    module.actions[(1, 1)][0][2] = 1  # an even unit joining an even and an odd vector
+    with pytest.raises(InternalCheckError, match=r"^\(1, 1\) breaks the parity grading at \(2, 0\)$"):
+        module.check_brackets()
+
+
+def test_layout_is_refused_before_parity_and_parity_before_brackets():
+    # a broken layout in a later unit wins over broken parity in an earlier
+    # one, and broken parity wins over a failing bracket, as in the checks'
+    # earlier order of separate passes
+    bad_parity = {**BROKEN_GL11, (1, 2): [{0: 1}]}
+    with pytest.raises(InternalCheckError, match="parity grading"):
+        MatrixModule(P11, 1, bad_parity, (0,))
+    with pytest.raises(ParameterError, match="row index 1 outside"):
+        MatrixModule(P11, 1, {**bad_parity, (2, 1): [{1: 1}]}, (0,))
+    with pytest.raises(InternalCheckError, match="bracket relation fails"):
+        MatrixModule(P11, 1, BROKEN_GL11, (0,))
+
+
 def test_malformed_layout_rejected():
     short = {**BROKEN_GL11, (1, 1): []}
     with pytest.raises(ParameterError, match="columns"):
@@ -423,7 +470,7 @@ def test_bracket_check_refuses_malformed_layout(e12, message):
     # called directly, without MatrixModule's own checks in front of it
     actions = {**trivial_module(P11).actions, (1, 2): e12}
     with pytest.raises(ParameterError, match=message):
-        check_super_brackets(actions, 1, P11.m)
+        check_super_brackets(actions, 1, P11.m, (0,))
 
 
 def test_induced_module_checks_side_before_any_work(monkeypatch):
@@ -444,13 +491,14 @@ BROKEN_NOT_GRADED = {(1, 1): [{}, {0: 1}], (2, 2): [{}, {}], (1, 2): [{}, {}], (
 
 def test_broken_module_rejected_under_optimize():
     # the gates raise instead of asserting, so python -O keeps them, on the
-    # packed path and on the product loop alike
+    # packed path and on the product loop alike, and the parity gate too
     assert gt.basis_weights(BROKEN_GL11) is not None and gt.basis_weights(BROKEN_NOT_GRADED) is None
+    cases = ((1, BROKEN_GL11), (2, BROKEN_NOT_GRADED), (2, PARITY_ONLY_GL11))
     script = (
         "from glsuper.errors import InternalCheckError\n"
         "from glsuper.oracle.modules import MatrixModule\n"
         "from glsuper.weights import SuperParams\n"
-        f"for dim, actions in ((1, {BROKEN_GL11!r}), (2, {BROKEN_NOT_GRADED!r})):\n"
+        f"for dim, actions in {cases!r}:\n"
         "    try:\n"
         "        MatrixModule(SuperParams(1, 1), dim, actions, (0,) * dim)\n"
         "    except InternalCheckError as exc:\n"
@@ -462,9 +510,10 @@ def test_broken_module_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
-    for line in lines:
+    assert len(lines) == 3, proc.stdout
+    for line in lines[:2]:
         assert line.startswith("rejected: bracket relation fails"), proc.stdout
+    assert lines[2] == "rejected: (1, 2) breaks the parity grading at (1, 0)", proc.stdout
 
 
 def test_odd_projectivity_trivial_module():

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glsuper
-from glsuper import polytope
+from glsuper import polytope, suzhang
 from glsuper.errors import (
     DegenerateCaseError,
     DomainError,
@@ -38,6 +38,7 @@ from glsuper.polytope import (
     polytope_denominator,
     vertices,
 )
+from glsuper.weights import SuperParams
 
 # counts verified against the box-scan oracle below and frozen here
 FROZEN_COUNTS_K2 = {1: 0, 2: 0, 3: 1, 4: 1, 5: 4, 6: 4, 7: 9, 8: 10}
@@ -153,6 +154,30 @@ def test_enumeration_guards():
         enumerate_lattice_points(2, 10_000)
     with pytest.raises(ResourceLimitError):
         enumerate_lattice_points(4, 5)
+
+
+def test_enumeration_refuses_too_many_points_before_listing(monkeypatch):
+    # the guard counts first: _walk only ever runs count_lattice_points' visit
+    visits = []
+
+    def walk(k, d, visit):
+        visits.append(visit.__qualname__)
+        return walk_points(k, d, visit)
+
+    walk_points = polytope._walk
+    monkeypatch.setattr(polytope, "_walk", walk)
+    count_lattice_points.cache_clear()
+    message = r"^\(k=3, d=200\) has 6336824 points, over the bound ENUM_MAX_POINTS = 70000$"
+    with pytest.raises(ResourceLimitError, match=message):
+        enumerate_lattice_points(3, 200)
+    assert visits == ["count_lattice_points.<locals>.visit"]
+    with pytest.raises(ResourceLimitError, match=message):
+        suzhang.build_S(SuperParams(3, 3), 3, 200)
+    assert visits == ["count_lattice_points.<locals>.visit"]  # the count is cached
+    # every k = 2 dilation stays admitted (d = 200 has the most points), and k = 3 up to d = 78
+    assert count_lattice_points(2, 200) == 42_099 <= polytope.ENUM_MAX_POINTS
+    assert max(map(count_lattice_points, [3] * 78, range(1, 79))) <= polytope.ENUM_MAX_POINTS
+    assert count_lattice_points(3, 79) == 73_434
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from glsuper.dimensions import kac_ext_trivial
-from glsuper.errors import DomainError, ParameterError
+from glsuper import suzhang
+from glsuper.errors import DomainError, InternalCheckError, ParameterError
 from glsuper.polytope import count_lattice_points
 from glsuper.suzhang import (
     ZetaInput,
@@ -93,6 +94,44 @@ def test_nu():
     assert atypicality(n32).block_key() == block_B_descriptor(P32, 1).block_key()
     n43 = nu(P43, 3)
     assert atypicality(n43).atypicality == 3
+
+
+def nu_k1_by_search(params):
+    """The length-zero weight of the atypicality-one block B, found by trying
+    every inserted value s in a window; the package's earlier implementation."""
+    m, n = params.m, params.n
+    core_left = suzhang._core_left_closed_form(params, 1)
+    core_right = suzhang._core_right_closed_form(params, 1)
+    found = []
+    for s in range(-(2 * m + 2 * n + 4), 2 * m + 2 * n + 5):
+        left_vals = sorted(core_left + (s,), reverse=True)
+        right_raws = sorted([-c for c in core_right] + [-s], reverse=True)
+        if len(set(left_vals)) < m or len(set(right_raws)) < n:
+            continue
+        coeffs = [left_vals[i] - (m - i) for i in range(m)]
+        coeffs += [right_raws[j] + (j + 1) for j in range(n)]
+        w = Weight(params, tuple(coeffs))
+        desc = atypicality(w)
+        if desc.block_key() != (1, core_left, core_right):
+            continue
+        if length(w) == 0:
+            found.append(w)
+    assert len(found) == 1, found
+    return found[0]
+
+
+def test_nu_k1_closed_form_matches_search():
+    for m in range(1, 12):
+        for n in range(1, m + 1):
+            params = SuperParams(m, n)
+            assert nu(params, 1) == nu_k1_by_search(params), params
+
+
+def test_nu_k1_gate_checks_the_block(monkeypatch):
+    # with cores that are not those of the closed form, the weight fails its gate
+    monkeypatch.setattr(suzhang, "_core_left_closed_form", lambda params, k: (0,))
+    with pytest.raises(InternalCheckError, match="is not the length-zero weight of B"):
+        nu(P32, 1)
 
 
 def test_phi_on_zeta_values():
