@@ -157,10 +157,11 @@ def cmd_classify(args) -> str:
     return _emit(reports if len(reports) > 1 else reports[0], args)
 
 
-def _verify_report(kind: ModuleKind, w: weights.Weight, report) -> list[dict]:
+def _verify_report(kind: ModuleKind, kac: bool, w: weights.Weight, report) -> list[dict]:
+    """The --verify checks of one weight; kac says that kind is a (dual) Kac kind."""
     checks: list[dict] = []
     params = w.params
-    if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
+    if kac:
         try:
             module = modules.kac_module(w) if kind is ModuleKind.KAC else modules.dual_kac_module(w)
         except ResourceLimitError as exc:
@@ -176,8 +177,7 @@ def _verify_report(kind: ModuleKind, w: weights.Weight, report) -> list[dict]:
             for side, expected in ((1, report.dim_rank_plus), (-1, report.dim_rank_minus))
         ]
     if params == weights.SuperParams(1, 1) and w.coeffs[0] == -w.coeffs[1]:
-        target = "kac" if kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC) else "simple"
-        trace = gl11.gl11_minimal_resolution(target, w.coeffs[0], 12)
+        trace = gl11.gl11_minimal_resolution("kac" if kac else "simple", w.coeffs[0], 12)
         checks += [
             {"name": f"measured_{name}", "formula": formula, "measured": fit.rate,
              "slope_float": fit.slope, "agree": fit.rate == formula}
@@ -188,12 +188,10 @@ def _verify_report(kind: ModuleKind, w: weights.Weight, report) -> list[dict]:
     return checks
 
 
-def _check_verify_cost(kind: ModuleKind, lams: list[weights.Weight]) -> None:
-    """Refuse --verify before any module is built if the (dual) Kac modules
-    it would build cost more in total than one module may; the modules the
-    per-module guard skips are not built and do not count."""
-    if kind not in (ModuleKind.KAC, ModuleKind.DUAL_KAC):
-        return
+def _check_verify_cost(lams: list[weights.Weight]) -> None:
+    """Refuse --verify of a (dual) Kac kind before any module is built if the
+    modules it would build cost more in total than one module may; the modules
+    the per-module guard skips are not built and do not count."""
     costs = [modules.kac_cost(w)[1] for w in lams if weights.is_dominant(w)]
     built = [cost for cost in costs if cost <= modules.KAC_MAX_COST]
     if sum(built) > modules.KAC_MAX_COST:
@@ -209,14 +207,14 @@ def cmd_invariants(args) -> str:
     # --verify builds (dual) Kac modules, and kac_cost runs the Weyl formula
     kac = kind in (ModuleKind.KAC, ModuleKind.DUAL_KAC)
     lams = _gather_weights(params, args, weyl=args.verify and kac)
-    if args.verify:
-        _check_verify_cost(kind, lams)
+    if args.verify and kac:
+        _check_verify_cost(lams)
     out = []
     for w in lams:
         report = variety_dims(kind, w)
         entry = {"kind": kind.value, "weight": weights.weight_to_json(w), **report.to_json()}
         if args.verify:
-            entry["checks"] = _verify_report(kind, w, report)
+            entry["checks"] = _verify_report(kind, kac, w, report)
         out.append(entry)
     return _emit(out if len(out) > 1 else out[0], args)
 

@@ -72,11 +72,19 @@ class ResolutionTrace(Record):
 
     __slots__ = ("target", "depth", "degrees")
 
+    def _degree(self, d: int) -> dict[int, int]:
+        """Covers of degree d, refused unless the resolution was computed to it."""
+        if not 0 <= d <= self.depth:
+            raise DomainError(
+                "degree must be nonnegative" if d < 0 else f"resolution computed to depth {self.depth} < {d}"
+            )
+        return self.degrees[d]
+
     def multiplicity(self, d: int, weight: int) -> int:
-        return self.degrees[d].get(weight, 0)
+        return self._degree(d).get(weight, 0)
 
     def total(self, d: int, weighting: str = "dimP") -> int:
-        count = sum(self.degrees[d].values())
+        count = sum(self._degree(d).values())
         if weighting == "dimP":
             return 4 * count
         if weighting == "unit":
@@ -225,10 +233,6 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
 
 def gl11_ext(trace: ResolutionTrace, mu: int, d: int) -> int:
     """dim Ext^d(target, L(mu)) = multiplicity of P(mu) in degree d of the resolution."""
-    if d > trace.depth:
-        raise DomainError(f"resolution computed to depth {trace.depth} < {d}")
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
     return trace.multiplicity(d, mu)
 
 
@@ -246,26 +250,21 @@ def kl_poly_gl11(lam: int, mu: int) -> list[int]:
     Checks the structural constraints: constant term one when nonzero,
     degree at most dim g_{-1} = 1, and value at one bounded by 1! = 1.
     """
-    if mu - lam > MAX_DEPTH:
+    sep = mu - lam
+    if sep > MAX_DEPTH:
         raise ResourceLimitError(
-            f"pair separation {mu - lam} needs resolution depth beyond MAX_DEPTH = {MAX_DEPTH}"
+            f"pair separation {sep} needs resolution depth beyond MAX_DEPTH = {MAX_DEPTH}"
         )
-    depth = min(MAX_DEPTH, max(2, mu - lam + 2))
+    depth = min(MAX_DEPTH, max(2, sep + 2))
     trace = _kac_trace()
-    coeffs: dict[int, int] = {}
-    for n in range(depth + 1):
-        mult = trace.multiplicity(n, mu - lam)
-        if mult:
-            exponent = (mu - lam) - n  # l is the identity on this block
-            if exponent < 0:
-                raise InternalCheckError("negative exponent in KL polynomial")
-            coeffs[exponent] = coeffs.get(exponent, 0) + mult
-    if not coeffs:
-        return []
-    poly = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        poly[e] = c
-    if poly[0] != 1:
+    mults = [trace._degree(n).get(sep, 0) for n in range(depth + 1)]
+    found = [n for n, c in enumerate(mults) if c]
+    # P(sep) in degree n adds to q^(sep - n), as l is the identity on this block,
+    # so poly[e] is mults[sep - e], down to the lowest degree holding P(sep)
+    if found and found[-1] > sep:
+        raise InternalCheckError("negative exponent in KL polynomial")
+    poly = mults[found[0] : sep + 1][::-1] if found else []
+    if poly and poly[0] != 1:
         raise InternalCheckError("constant term must be one")
     if len(poly) - 1 > 1:
         raise InternalCheckError("degree exceeds dim g_{-1}")

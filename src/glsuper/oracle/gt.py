@@ -50,6 +50,17 @@ def super_bracket_units(m: int, left: Unit, right: Unit) -> list[tuple[Unit, int
     return terms
 
 
+def _relations(m: int, units: list[Unit]):
+    """The superbracket relations to check over units, in order: (X, Y, (-1)^{|X||Y|},
+    [X, Y] as unit terms) once per unordered pair X <= Y, and (X, X) only for odd X,
+    since for even X the relation XX - XX = [X, X] = 0 holds trivially."""
+    for pos, left in enumerate(units):
+        for right in units[pos:]:
+            sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
+            if right != left or sign == -1:
+                yield left, right, sign, super_bracket_units(m, left, right)
+
+
 def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction, ...]] | None:
     """Per basis vector, its eigenvalues under the diagonal units E_ss in order of s.
 
@@ -146,20 +157,15 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
         rows, _, vals, ends = flat[right]
         return running_sums(map(mul, vals, map(packed[left].__getitem__, rows)), ends)
 
-    units = [unit for unit in sorted(actions) if unit[0] != unit[1]]
-    for pos, left in enumerate(units):
-        for right in units[pos:]:
-            sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
-            if right == left and sign == 1:
-                continue
-            lhs = packed_product(left, right)
-            rhs = lhs if right == left else packed_product(right, left)
-            if sign == -1:
-                rhs = map(neg, rhs)
-            for unit, coeff in super_bracket_units(m, left, right):  # coeff is 1 or -1
-                rhs = map(add if coeff == 1 else sub, rhs, bracket_sums[unit])
-            if lhs != list(rhs):
-                raise InternalCheckError(f"bracket relation fails for {left}, {right}")
+    for left, right, sign, terms in _relations(m, [unit for unit in sorted(actions) if unit[0] != unit[1]]):
+        lhs = packed_product(left, right)
+        rhs = lhs if right == left else packed_product(right, left)
+        if sign == -1:
+            rhs = map(neg, rhs)
+        for unit, coeff in terms:  # coeff is 1 or -1
+            rhs = map(add if coeff == 1 else sub, rhs, bracket_sums[unit])
+        if lhs != list(rhs):
+            raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
 def _weight_slots(flat: dict[Unit, tuple[list, list, list, list]], dim: int) -> list[int] | None:
@@ -200,18 +206,13 @@ def _check_by_products(flat: dict[Unit, tuple[list, list, list, list]], dim: int
         unit: [dict(zip(rows[start:end], vals[start:end])) for start, end in zip([0, *ends], ends)]
         for unit, (rows, _, vals, ends) in flat.items()
     }
-    units = sorted(flat)
-    for pos, left in enumerate(units):
-        for right in units[pos:]:
-            sign = -1 if unit_parity(m, left) and unit_parity(m, right) else 1
-            if right == left and sign == 1:
-                continue
-            xy = sparse_mul(scaled[left], scaled[right])
-            yx = xy if right == left else sparse_mul(scaled[right], scaled[left])
-            terms = [(scaled[unit], scale * coeff) for unit, coeff in super_bracket_units(m, left, right)]
-            # products and sums keep no zero entries, so columns compare as dicts
-            if xy != (yx if sign == 1 and not terms else sparse_add_scaled([(yx, sign), *terms], dim)):
-                raise InternalCheckError(f"bracket relation fails for {left}, {right}")
+    for left, right, sign, terms in _relations(m, sorted(flat)):
+        xy = sparse_mul(scaled[left], scaled[right])
+        yx = xy if right == left else sparse_mul(scaled[right], scaled[left])
+        terms = [(scaled[unit], scale * coeff) for unit, coeff in terms]
+        # products and sums keep no zero entries, so columns compare as dicts
+        if xy != (yx if sign == 1 and not terms else sparse_add_scaled([(yx, sign), *terms], dim)):
+            raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
 class GTPattern(Record):

@@ -139,29 +139,19 @@ def phi_k1(params: SuperParams, a: int) -> Weight:
     return Weight(SuperParams(1, 1), (c, -c))
 
 
-def _mu_a_coeffs(params: SuperParams, a: int) -> tuple[int, ...]:
-    m, n = params.m, params.n
-    q = 2 * m - 2
-    b = a + m - n
-    coeffs = [a] + [m - i for i in range(1, m)]
-    coeffs += [-(q + j) for j in range(1, n)]
-    coeffs += [-b]
-    return tuple(coeffs)
-
-
 def mu_a(params: SuperParams, a: int, d: int) -> Weight:
     """The k=1 family (a, p, ..., 1 | -(q+1), ..., -(q+n-1), -b) inside its a-window."""
-    if d <= 6 * (params.m + params.n):
-        raise DomainError(f"need d > 6(m+n) = {6 * (params.m + params.n)}")
+    m, n = params.m, params.n
+    if d <= 6 * (m + n):
+        raise DomainError(f"need d > 6(m+n) = {6 * (m + n)}")
     if not (3 * a > 2 * d and a <= d):
         raise DomainError(f"need 2d/3 < a <= d, got a={a}, d={d}")
-    return Weight(params, _mu_a_coeffs(params, a))
+    q, b = 2 * m - 2, a + m - n
+    return Weight(params, [a] + [m - i for i in range(1, m)] + [-(q + j) for j in range(1, n)] + [-b])
 
 
 def build_S(params: SuperParams, k: int, d: int) -> WeightPairSet:
     """S(d): zeta-image pairs of the lattice points for k > 1, the diagonal mu^(a) family for k = 1."""
-    if not 1 <= k <= params.n:
-        raise DomainError(f"atypicality {k} out of range 1..{params.n}")
     block = block_B_descriptor(params, k)
     key = block.block_key()
     pairs = []

@@ -23,7 +23,7 @@ class SuperParams(Record, order=True):
     __slots__ = ("m", "n")
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.n)):
             raise ParameterError("m and n must be integers")
         if not self.m >= self.n >= 1:
             raise ParameterError(f"need m >= n >= 1, got ({self.m}|{self.n})")
@@ -159,21 +159,17 @@ def is_dominant(lam: Weight) -> bool:
 
 
 def positive_roots_m(params: SuperParams) -> Iterator[Root]:
-    for i in range(1, params.m + 1):
-        for j in range(i + 1, params.m + 1):
-            yield Root(i, j)
+    return itertools.starmap(Root, itertools.combinations(range(1, params.m + 1), 2))
 
 
 def positive_roots_n(params: SuperParams) -> Iterator[Root]:
-    for i in range(params.m + 1, params.rank + 1):
-        for j in range(i + 1, params.rank + 1):
-            yield Root(i, j)
+    return itertools.starmap(Root, itertools.combinations(range(params.m + 1, params.rank + 1), 2))
 
 
 def odd_positive_roots(params: SuperParams) -> Iterator[Root]:
-    for i in range(1, params.m + 1):
-        for j in range(params.m + 1, params.rank + 1):
-            yield Root(i, j)
+    return itertools.starmap(
+        Root, itertools.product(range(1, params.m + 1), range(params.m + 1, params.rank + 1))
+    )
 
 
 class BlockDescriptor(Record):

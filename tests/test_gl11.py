@@ -139,6 +139,17 @@ def test_ext_insufficient_depth():
         gl11_ext(trace, 0, 4)
 
 
+def test_trace_refuses_degrees_it_does_not_hold():
+    trace = gl11_minimal_resolution("simple", 0, 3)
+    reads = (trace.total, lambda d: trace.total(d, "unit"), lambda d: trace.multiplicity(d, 3),
+             lambda d: gl11_ext(trace, 3, d))
+    for read in reads:
+        with pytest.raises(DomainError, match="^degree must be nonnegative$"):
+            read(-1)
+        with pytest.raises(DomainError, match="^resolution computed to depth 3 < 4$"):
+            read(4)
+
+
 def test_resolution_guards():
     with pytest.raises(ResourceLimitError):
         gl11_minimal_resolution("kac", 0, 26)

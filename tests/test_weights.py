@@ -50,6 +50,13 @@ def test_params_normalization():
         SuperParams(2, 0)
 
 
+@pytest.mark.parametrize("m,n", [(True, 1), (2, True), (True, True)])
+def test_params_refuse_bool(m, n):
+    # bool is an int subclass, but gl(True|True) is no algebra
+    with pytest.raises(ParameterError, match="m and n must be integers"):
+        SuperParams(m, n)
+
+
 def test_weight_validation():
     with pytest.raises(ParameterError):
         Weight(P21, (1, 2))
