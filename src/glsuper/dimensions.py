@@ -10,7 +10,6 @@ criterion ``kac_ext_trivial``.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterator
 
 from ._record import Record
@@ -129,7 +128,6 @@ def proj_growth_exponent(params: SuperParams, k: int) -> int:
     return (params.m + params.n - k - 1) * k
 
 
-@cache
 def partitions_at_most_k_parts(i: int, k: int) -> int:
     """Number of partitions of i into at most k parts.
 

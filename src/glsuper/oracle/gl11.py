@@ -53,6 +53,11 @@ def _weight_module(lam: int, offsets: tuple[int, ...], x, y) -> modules.MatrixMo
     return modules.MatrixModule(GL11, len(diag), actions, tuple(o % 2 for o in offsets))
 
 
+def _require_weights(*weights: int) -> None:
+    if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
+        raise DomainError(f"gl(1|1) weights must be integers, got {', '.join(map(repr, weights))}")
+
+
 def gl11_projective(lam: int) -> modules.MatrixModule:
     """P(lam): four dimensional, head and socle L(lam), middle layer L(lam-1) + L(lam+1)."""
     return _weight_module(lam, _P_WEIGHT_OFFSETS, _X_COLS, _Y_COLS)
@@ -193,6 +198,7 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
         raise DomainError("depth must be nonnegative")
     if kind not in _TARGETS:
         raise DomainError(f"unknown resolution target {kind!r}")
+    _require_weights(lam)
     offsets, x, y = _TARGETS[kind]
     weights = [lam + o for o in offsets]
 
@@ -208,8 +214,6 @@ def gl11_minimal_resolution(kind: str, lam: int, depth: int) -> ResolutionTrace:
         for w, _idx in reps:
             head[w] = head.get(w, 0) + 1
         degrees.append(head)
-        if not reps:
-            continue
 
         phi = _cover(x, y, reps)
         p_weights = [w + o for w, _idx in reps for o in _P_WEIGHT_OFFSETS]
@@ -250,6 +254,7 @@ def kl_poly_gl11(lam: int, mu: int) -> list[int]:
     Checks the structural constraints: constant term one when nonzero,
     degree at most dim g_{-1} = 1, and value at one bounded by 1! = 1.
     """
+    _require_weights(lam, mu)
     sep = mu - lam
     if sep > MAX_DEPTH:
         raise ResourceLimitError(

@@ -123,7 +123,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
             for i, j, val in zip(rows, col_of, vals):
                 if val and bits[i] ^ bits[j] != flip:
                     raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
-    slots = _weight_slots(flat, dim)
+    slots = _weight_slots(actions, flat, dim)
     entries = chain.from_iterable(vals for _, _, vals, _ in flat.values())
     scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
     flat = {
@@ -168,25 +168,25 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
             raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
-def _weight_slots(flat: dict[Unit, tuple[list, list, list, list]], dim: int) -> list[int] | None:
+def _weight_slots(
+    actions: dict[Unit, SparseCols], flat: dict[Unit, tuple[list, list, list, list]], dim: int
+) -> list[int] | None:
     """Each basis vector's index inside its weight space, or None unless the actions are graded.
 
-    Graded means that every E_ss acts diagonally with integral eigenvalues
-    and that every unit E_ab maps each basis vector of weight mu into the
-    span of those of weight mu + e_a - e_b.
+    Graded means that every E_ss acts diagonally with integral eigenvalues,
+    read by basis_weights, and that every unit E_ab maps each basis vector of
+    weight mu into the span of those of weight mu + e_a - e_b.
     """
+    weights = basis_weights(actions)
+    if weights is None or not set(map(type, chain.from_iterable(weights))) <= {int}:
+        return None
     diagonal = sorted(u for u in flat if u[0] == u[1])
-    weights = []
-    for rows, col_of, vals, _ in map(flat.__getitem__, diagonal):
-        if rows != col_of or not set(map(type, vals)) <= {int}:
-            return None
-        weights.append(list(map(dict(zip(rows, vals)).get, range(dim), repeat(0))))
     # weight w has key sum(w_s base^t), t the position of s among the diagonal
     # units; base exceeds twice every |w_s| + 1, so keys of weights and of
     # their shifts by e_a - e_b are equal only for equal vectors
     base = 2 * max(map(abs, chain.from_iterable(weights)), default=0) + 3
     power = {s: base ** t for t, (s, _) in enumerate(diagonal)}
-    keys = [sum(map(mul, w, power.values())) for w in zip(*weights)] if weights else [0] * dim
+    keys = [sum(map(mul, w, power.values())) for w in weights] or [0] * dim
     for (a, b), (rows, col_of, _, _) in flat.items():
         targets = map(add, map(keys.__getitem__, col_of), repeat(power.get(a, 0) - power.get(b, 0)))
         if not all(map(eq, map(keys.__getitem__, rows), targets)):
@@ -230,10 +230,6 @@ class GTPattern(Record):
                 if not upper[i] >= low >= upper[i + 1]:
                     raise DomainError(f"rows {upper} and {lower} do not interlace")
 
-    @property
-    def top(self) -> tuple[int, ...]:
-        return self.rows[0]
-
     def row_of_length(self, k: int) -> tuple[int, ...]:
         return self.rows[len(self.rows) - k]
 
@@ -247,6 +243,8 @@ def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:
     """All patterns with the given top row, in a fixed deterministic order;
     raises ResourceLimitError above GT_MAX_DIM patterns, before building any."""
     top = tuple(top)
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in top):
+        raise DomainError(f"top row {top} must hold integers")
     if any(top[i] < top[i + 1] for i in range(len(top) - 1)):
         raise DomainError(f"top row {top} is not weakly decreasing")
     check_weyl_work(weyl_work_gl(top))
@@ -284,7 +282,7 @@ def _l_value(row: tuple[int, ...], i: int) -> int:
 
 def gl_simple(r: int, highest_weight: tuple[int, ...]) -> GlRep:
     """Simple gl(r) module on GT patterns; raises ResourceLimitError above desk scale."""
-    hw = tuple(int(c) for c in highest_weight)
+    hw = tuple(highest_weight)
     if len(hw) != r:
         raise DomainError(f"expected {r} coordinates, got {len(hw)}")
     patterns = gt_patterns(hw)

@@ -292,5 +292,8 @@ def trivial_summand_check(lam: Weight) -> bool:
 
 def matrix_to_csv(cols: SparseCols) -> str:
     """Dense CSV of a square matrix given by sparse columns, with exact rational entries."""
+    bad = next((i for col in cols for i in col if not 0 <= i < len(cols)), None)
+    if bad is not None:
+        raise ParameterError(f"row index {bad} outside 0..{len(cols) - 1}")
     lines = [",".join(str(col.get(i, 0)) for col in cols) for i in range(len(cols))]
     return "\n".join(lines) + "\n"

@@ -349,7 +349,6 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(sorted(found))
 
 
-@cache
 def polytope_denominator(k: int) -> int:
     """lcm of the vertex coordinate denominators; the Ehrhart period divides it."""
     return math.lcm(*(c.denominator for vertex in vertices(k) for c in vertex))
@@ -397,12 +396,12 @@ def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
     """Least consistent period with exact per-residue interpolation.
 
     The period search is bounded by the lcm of the polytope's vertex
-    denominators, which the Ehrhart period divides.  A period stands when
-    each residue class holds at least 2k samples and one polynomial of degree
-    2k-1 passes through all of them (an integer test); any residual rules it out,
-    so the smaller candidate periods face the most validation points.  Each
-    class of a period that stands is interpolated through its first 2k
-    samples, and the constituents must share a positive leading coefficient.
+    denominators, which the Ehrhart period divides.  A period stands when each
+    residue class holds at least 2k + 1 samples (2k and a holdout) and one
+    polynomial of degree 2k-1 passes through all of them (an integer test); any
+    residual rules it out, so the smaller candidate periods face the most
+    validation points.  Each class of a period that stands is interpolated through
+    its first 2k samples, and the constituents must share a positive leading coefficient.
     """
     if k < 2:
         raise DomainError("quasipolynomial fitting needs k >= 2")
@@ -412,7 +411,7 @@ def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
         classes: list[list[int]] = [[] for _ in range(period)]
         for d in ds:
             classes[d % period].append(d)
-        if any(len(c) <= degree for c in classes):
+        if any(len(c) <= degree + 1 for c in classes):
             continue
         if all(_fits(c, counts, degree) for c in classes):
             polys = [_interpolate([(d, counts[d]) for d in c[:degree + 1]]) for c in classes]

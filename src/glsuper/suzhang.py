@@ -112,12 +112,9 @@ def nu(params: SuperParams, k: int) -> Weight:
 def block_B_descriptor(params: SuperParams, k: int) -> BlockDescriptor:
     """Descriptor of the distinguished block: atypicality k with the stepped cores."""
     desc = atypicality(nu(params, k))
-    if desc.atypicality != k:
-        raise InternalCheckError(f"nu has atypicality {desc.atypicality}, not {k}")
-    if desc.core_left != _core_left_closed_form(params, k):
-        raise InternalCheckError(f"left core {desc.core_left} is not the closed form")
-    if desc.core_right != _core_right_closed_form(params, k):
-        raise InternalCheckError(f"right core {desc.core_right} is not the closed form")
+    key = (k, _core_left_closed_form(params, k), _core_right_closed_form(params, k))
+    if desc.block_key() != key:
+        raise InternalCheckError(f"nu has block key {desc.block_key()}, not the closed form {key}")
     return desc
 
 

@@ -73,9 +73,6 @@ class Weight(Record):
         _require_same_params(self, other)
         return Weight(self.params, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(self.params, tuple(-a for a in self.coeffs))
-
     def scale(self, c: int) -> "Weight":
         return Weight(self.params, tuple(c * a for a in self.coeffs))
 
@@ -335,5 +332,4 @@ def weight_to_json(w: Weight) -> dict:
 
 
 def weight_from_json(data: dict) -> Weight:
-    params = SuperParams(int(data["m"]), int(data["n"]))
-    return Weight(params, tuple(int(c) for c in data["coeffs"]))
+    return Weight(SuperParams(data["m"], data["n"]), data["coeffs"])

@@ -171,8 +171,9 @@ def interpolate(points: list[tuple[int, int]]) -> tuple[Fraction, ...]:
 def fit_quasipolynomial(counts: dict[int, int], k: int) -> QuasiPolynomial:
     """Least consistent period with exact per-residue interpolation.
 
-    Each residue class of each candidate period is interpolated through its
-    first 2k samples, and every remaining sample must be reproduced exactly.
+    Each residue class of each candidate period needs 2k samples plus at
+    least one more to check; it is interpolated through its first 2k samples,
+    and every remaining sample must be reproduced exactly.
     """
     if k < 2:
         raise DomainError("quasipolynomial fitting needs k >= 2")
@@ -182,7 +183,7 @@ def fit_quasipolynomial(counts: dict[int, int], k: int) -> QuasiPolynomial:
         classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
         for d in ds:
             classes[d % period].append((d, counts[d]))
-        if any(len(pts) < needed for pts in classes):
+        if any(len(pts) <= needed for pts in classes):
             continue
         polys = []
         for pts in classes:

@@ -367,3 +367,13 @@ def test_kl_constraint_violation_exits_70_under_optimize():
     assert proc.returncode == 70, proc.stderr
     assert proc.stdout == ""
     assert "internal check failure: constant term must be one" in proc.stderr
+
+
+def test_resolution_and_kl_refuse_non_integer_weights():
+    # no trace named kac(0.5) or kac(True), and no TypeError mid-way
+    for lam in (0.5, True):
+        with pytest.raises(DomainError, match="weights must be integers"):
+            gl11_minimal_resolution("kac", lam, 2)
+    for lam, mu in ((0.5, 1), (0, True)):
+        with pytest.raises(DomainError, match="weights must be integers"):
+            kl_poly_gl11(lam, mu)

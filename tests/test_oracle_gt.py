@@ -138,3 +138,13 @@ def test_gt_entries_pinned(r, hw):
         for unit, cols in rep.actions.items()
     }
     assert digests == GT_DIGESTS[(r, hw)]
+
+
+def test_patterns_refuse_non_integer_top_rows():
+    # gt_patterns owns the top row: 1.9 is not truncated to build L(1, 0), and
+    # neither a float nor a bool reaches the Weyl work count
+    for top in ((1.9, 0), (1.5, 0), (True, 0)):
+        with pytest.raises(DomainError, match="must hold integers"):
+            gt_patterns(top)
+        with pytest.raises(DomainError, match="must hold integers"):
+            gl_simple(2, top)

@@ -625,3 +625,17 @@ def test_matrix_csv_export():
     module = kac_module(Weight.zero(P11))
     text = matrix_to_csv(module.action(2, 1))
     assert text == "0,0\n1,0\n"
+
+
+def test_matrix_csv_refuses_rows_outside_the_square():
+    # no line of the square prints such a row, so its entry would be lost
+    with pytest.raises(ParameterError, match=r"row index 2 outside 0\.\.1"):
+        matrix_to_csv([{0: 1, 2: 5}, {1: 1}])
+    with pytest.raises(ParameterError, match=r"row index -1 outside 0\.\.1"):
+        matrix_to_csv([{0: 1}, {-1: 1}])
+
+
+def test_rank_variety_of_the_zero_module_is_zero():
+    # every rank element, rank 0 included, acts freely on the zero module
+    zero = MatrixModule(P21, 0, {(i, j): [] for i in range(1, 4) for j in range(1, 4)}, ())
+    assert rank_variety(zero, 1) == 0 and rank_variety(zero, -1) == 0

@@ -389,7 +389,7 @@ def test_fit_returns_least_consistent_period(count, period):
 
 
 def test_fit_rejects_classes_with_different_leading_coefficients():
-    # every even period with 4 samples a class (2 to 10) reproduces the series
+    # every even period with a holdout in each class (2 to 8) reproduces the series
     # exactly, with leading coefficient 1 on the even classes and 2 on the odd
     with pytest.raises(FitError, match="no consistent period <= 32 found"):
         fit_quasipolynomial({d: d**3 * (1 + d % 2) for d in range(1, 41)}, 2)
@@ -438,6 +438,15 @@ def test_leading_coefficient_is_relative_volume(counts_k2):
 def test_fit_insufficient_data():
     with pytest.raises(FitError):
         fit_quasipolynomial({d: count_lattice_points(2, d) for d in range(1, 25)}, 2)
+
+
+def test_fit_refuses_a_period_with_no_holdout():
+    # four samples a class fix a cubic and leave nothing to check it: d^5 at
+    # d = 1..4 would pass as a period-1 cubic worth 2765 at d = 5, not 3125
+    counts = {d: d**5 for d in range(1, 5)}
+    for fit in (fit_quasipolynomial, slow_polytope.fit_quasipolynomial):
+        with pytest.raises(FitError, match="no consistent period <= 32 found"):
+            fit(counts, 2)
 
 
 def test_lower_bound_poly(counts_k2):

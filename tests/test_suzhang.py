@@ -293,3 +293,10 @@ def test_build_S_guards():
         build_S(P21, 1, 10)  # below the d > 6(m+n) window
     with pytest.raises(DomainError):
         build_S(P32, 3, 10)  # k > n
+
+
+def test_check_pair_conditions_refuses_a_pair_outside_the_length_window():
+    # sigma <= mu <= nu holds, but l(mu) - l(sigma) = 2 exceeds d = 1
+    mu, sigma = (zeta(ZetaInput(P32, 2, x)) for x in ((-5, -5), (-6, -6)))
+    assert (length(mu), length(sigma)) == (-10, -12)
+    assert not check_pair_conditions((mu, sigma), 1, P32, 2)

@@ -327,3 +327,18 @@ def test_weight_json_round_trip():
         "core_right": [],
         "omega": [[2, 3]],
     }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"m": 2, "n": 1, "coeffs": [1.5, 0, -0.9]},
+        {"m": True, "n": True, "coeffs": [0, 0]},
+        {"m": 2, "n": 1, "coeffs": ["3", 0, 0]},
+    ],
+    ids=["float-coeffs", "bool-sizes", "str-coeff"],
+)
+def test_weight_from_json_refuses_non_integers(data):
+    # the values reach SuperParams and Weight unchanged, so none is truncated
+    with pytest.raises(ParameterError):
+        weight_from_json(data)
