@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import dimensions, polytope, weights
-from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError
+from .errors import DomainError, FitError, GlsuperError, InternalCheckError, ResourceLimitError, is_int
 from .invariants import ModuleKind, rank_orbit_closure_dim, variety_dims
 from .oracle import gl11, modules
 
@@ -25,7 +27,7 @@ EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
-# classify of 100,000 sampled gl(4|3) weights takes about 16 s and 0.6 GB
+# classify of 100,000 sampled gl(4|3) weights takes about 6 s and 0.26 GB
 # peak RSS on 2 CPUs, inside a 60-s, 2-GiB budget even on a host twice slower
 SAMPLE_MAX = 100_000
 # sampled weights have entries in -SAMPLE_BOUND..SAMPLE_BOUND
@@ -107,9 +109,35 @@ def _gather_weights(params: weights.SuperParams, args, weyl: bool = False) -> li
 
 def _emit(payload, args) -> str:
     if args.format == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload, "\n") + "\n"
     rows = payload if isinstance(payload, list) else [payload]
     return "\n".join(_csv(sorted({k for row in rows for k in row}), rows)) + "\n"
+
+
+def _json(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it; indent is
+    the line break and indentation of value's last line.
+
+    Each container is joined once from its children's strings, so writing it
+    holds those and the result, not the pure-Python encoder's chunk list.
+    """
+    if isinstance(value, (dict, list, tuple)) and value:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            parts = ["{"]
+            for key, item in sorted(value.items()):
+                parts += (inner, encode_basestring_ascii(key), ": ", _json(item, inner), ",")
+            parts[-1] = indent + "}"
+        else:
+            parts = ["["]
+            for item in value:
+                parts += (inner, _json(item, inner), ",")
+            parts[-1] = indent + "]"
+        return "".join(parts)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    # int.__repr__ raises the ValueError of an int too long to print, as json does
+    return int.__repr__(value) if is_int(value) else json.dumps(value)
 
 
 def _csv(keys, rows) -> list[str]:
@@ -259,9 +287,16 @@ def cmd_ehrhart(args) -> str:
             fit_error = str(exc)
     rows = [{"d": d, "count": counts[d]} for d in table]
     if bound is not None:
+        # Q(d) = N(d) / scale, N with integer coefficients, printed as str(Fraction) prints it
+        scale = math.lcm(*(c.denominator for c in bound))
+        numer = [c.numerator * (scale // c.denominator) for c in reversed(bound)]
         for row in rows:
-            qd = polytope.eval_poly(bound, row["d"])
-            row |= {"Q": str(qd), "count_ge_Q": row["count"] >= qd}
+            q = 0
+            for c in numer:
+                q = q * row["d"] + c
+            g = math.gcd(q, scale)
+            row |= {"Q": f"{q // g}" if g == scale else f"{q // g}/{scale // g}",
+                    "count_ge_Q": row["count"] * scale >= q}
     if args.format == "csv":
         warning = [{"d": "WARNING", "count": truncated}] if truncated else []
         return "\n".join(_csv(("d", "count", "Q", "count_ge_Q"), rows + warning)) + "\n"

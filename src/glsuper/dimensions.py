@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ._record import Record
-from .errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
+from .errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError, require_int
 from .weights import (
     SuperParams,
     Weight,
@@ -135,6 +135,8 @@ def partitions_at_most_k_parts(i: int, k: int) -> int:
     O(i * min(i, k)), since no partition of i has more than i parts, and
     independent of the call order.  Work over PARTITIONS_MAX_WORK is refused.
     """
+    require_int("i", i)
+    require_int("k", k)
     if i < 0 or k < 0:
         raise DomainError("arguments must be nonnegative")
     work = i * max(min(i, k), 1)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test behind DomainError."""
 
 
 class GlsuperError(Exception):
@@ -27,3 +27,14 @@ class FitError(GlsuperError, RuntimeError):
 
 class InternalCheckError(GlsuperError, RuntimeError):
     """A built object fails an identity it must satisfy (a bracket relation, a grading)."""
+
+
+def is_int(value) -> bool:
+    """Whether value is an int and not a bool, which would pass as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_int(name: str, value) -> None:
+    """Refuse a value that is not an int (bools included) with DomainError."""
+    if not is_int(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

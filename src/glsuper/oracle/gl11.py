@@ -21,7 +21,7 @@ import functools
 import math
 
 from .._record import Record
-from ..errors import DomainError, InternalCheckError, ResourceLimitError
+from ..errors import DomainError, InternalCheckError, ResourceLimitError, is_int
 from ..ratlinalg import SparseCols, sparse_mul, sparse_pivots, sparse_rank, sparse_relations
 from ..weights import SuperParams
 from . import modules
@@ -54,7 +54,7 @@ def _weight_module(lam: int, offsets: tuple[int, ...], x, y) -> modules.MatrixMo
 
 
 def _require_weights(*weights: int) -> None:
-    if not all(isinstance(w, int) and not isinstance(w, bool) for w in weights):
+    if not all(map(is_int, weights)):
         raise DomainError(f"gl(1|1) weights must be integers, got {', '.join(map(repr, weights))}")
 
 

@@ -23,7 +23,7 @@ from operator import add, attrgetter, eq, lshift, mul, neg, sub, xor
 
 from .._record import Record
 from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
-from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
+from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError, is_int
 from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul
 
 GT_MAX_DIM = 10_000
@@ -62,7 +62,8 @@ def _relations(m: int, units: list[Unit]):
 
 
 def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction, ...]] | None:
-    """Per basis vector, its eigenvalues under the diagonal units E_ss in order of s.
+    """Per basis vector, its eigenvalues under the diagonal units E_ss in order of s
+    (an empty tuple each when there is no E_ss).
 
     None when some E_ss has a nonzero entry off the diagonal.
     """
@@ -72,7 +73,7 @@ def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction,
         if any(i != j and val for j, col in enumerate(cols) for i, val in col.items()):
             return None
         diags.append(map(dict.get, cols, count(), repeat(0)))
-    return list(zip(*diags))
+    return list(zip(*diags)) if diags else [()] * len(next(iter(actions.values()), ()))
 
 
 def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, parity) -> None:
@@ -123,7 +124,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
             for i, j, val in zip(rows, col_of, vals):
                 if val and bits[i] ^ bits[j] != flip:
                     raise InternalCheckError(f"{unit} breaks the parity grading at ({i}, {j})")
-    slots = _weight_slots(actions, flat, dim)
+    slots = _weight_slots(actions, flat)
     entries = chain.from_iterable(vals for _, _, vals, _ in flat.values())
     scale = math.lcm(*set(map(attrgetter("denominator"), entries)))
     flat = {
@@ -168,9 +169,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
             raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
-def _weight_slots(
-    actions: dict[Unit, SparseCols], flat: dict[Unit, tuple[list, list, list, list]], dim: int
-) -> list[int] | None:
+def _weight_slots(actions: dict[Unit, SparseCols], flat: dict[Unit, tuple[list, list, list, list]]) -> list[int] | None:
     """Each basis vector's index inside its weight space, or None unless the actions are graded.
 
     Graded means that every E_ss acts diagonally with integral eigenvalues,
@@ -186,7 +185,7 @@ def _weight_slots(
     # their shifts by e_a - e_b are equal only for equal vectors
     base = 2 * max(map(abs, chain.from_iterable(weights)), default=0) + 3
     power = {s: base ** t for t, (s, _) in enumerate(diagonal)}
-    keys = [sum(map(mul, w, power.values())) for w in weights] or [0] * dim
+    keys = [sum(map(mul, w, power.values())) for w in weights]
     for (a, b), (rows, col_of, _, _) in flat.items():
         targets = map(add, map(keys.__getitem__, col_of), repeat(power.get(a, 0) - power.get(b, 0)))
         if not all(map(eq, map(keys.__getitem__, rows), targets)):
@@ -243,7 +242,7 @@ def gt_patterns(top: tuple[int, ...]) -> list[GTPattern]:
     """All patterns with the given top row, in a fixed deterministic order;
     raises ResourceLimitError above GT_MAX_DIM patterns, before building any."""
     top = tuple(top)
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in top):
+    if not all(map(is_int, top)):
         raise DomainError(f"top row {top} must hold integers")
     if any(top[i] < top[i + 1] for i in range(len(top) - 1)):
         raise DomainError(f"top row {top} is not weakly decreasing")

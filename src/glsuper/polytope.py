@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from operator import mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -33,6 +33,8 @@ from .errors import (
     FitError,
     InternalCheckError,
     ResourceLimitError,
+    is_int,
+    require_int,
 )
 from .ratlinalg import sparse_relations
 
@@ -182,6 +184,8 @@ def enumerate_lattice_points(k: int, d: int) -> list[tuple[int, ...]]:
     At each leaf of _walk and each e, a_{k-1} runs up to top from the larger of
     ceil(rest/2) (a_k <= a_{k-1}) and rest - b_k (a_k <= b_k), rest = a_{k-1} + a_k.
     """
+    require_int("k", k)
+    require_int("d", d)
     if k < 2:
         raise DegenerateCaseError("lattice enumeration needs k >= 2; see k1_degenerate_point()")
     if d < 1:
@@ -237,13 +241,16 @@ def _clipped_sum(P: int, R: int, D: int, lo: int, hi: int) -> int:
     return total
 
 
-@cache
+# typed: 2.0 and True must reach the checks, not the entries of 2 and 1
+@lru_cache(maxsize=None, typed=True)
 def count_lattice_points(k: int, d: int) -> int:
     """The number of integer points of the d-dilated polytope, none of them built.
 
     At each leaf of _walk, one _clipped_sum over e counts the a_{k-1} that
     enumerate_lattice_points lists there.
     """
+    require_int("k", k)
+    require_int("d", d)
     _check_count_k(k)
     if d < 1:
         raise DomainError("dilation must be positive")
@@ -312,7 +319,7 @@ class QuasiPolynomial(Record):
         }
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact vertex set of the d=1 polytope, by facet-subset enumeration.
 
@@ -321,6 +328,7 @@ def vertices(k: int) -> tuple[tuple[Fraction, ...], ...]:
     columns of A and then b have rank dim with b dependent, and the solution
     is then minus the relation of b: b = sum x_c A_c.
     """
+    require_int("k", k)
     # the count grows with k, so past k = 9 the count at 9 stands in for the
     # count at k, which takes 0.8 s to work out at k = 10^5 and has too many
     # digits to print from about k = 5,200 on; _system refuses k < 1
@@ -403,6 +411,9 @@ def fit_quasipolynomial(counts: Mapping[int, int], k: int) -> QuasiPolynomial:
     validation points.  Each class of a period that stands is interpolated through
     its first 2k samples, and the constituents must share a positive leading coefficient.
     """
+    require_int("k", k)
+    if not all(map(is_int, itertools.chain(counts, counts.values()))):
+        raise DomainError("dilations and counts must be integers")
     if k < 2:
         raise DomainError("quasipolynomial fitting needs k >= 2")
     degree = 2 * k - 1

@@ -12,7 +12,7 @@ length/order transport used by the pair conditions.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import DomainError, InternalCheckError, ParameterError
+from .errors import DomainError, InternalCheckError, ParameterError, require_int
 from .polytope import enumerate_lattice_points
 from .weights import (
     BlockDescriptor,
@@ -102,6 +102,7 @@ def _nu_k1(params: SuperParams) -> Weight:
 
 def nu(params: SuperParams, k: int) -> Weight:
     """The distinguished weight of B mapped to zero by the block bijection."""
+    require_int("k", k)
     if not 1 <= k <= params.n:
         raise DomainError(f"atypicality {k} out of range 1..{params.n}")
     if k > 1:
@@ -149,6 +150,7 @@ def mu_a(params: SuperParams, a: int, d: int) -> Weight:
 
 def build_S(params: SuperParams, k: int, d: int) -> WeightPairSet:
     """S(d): zeta-image pairs of the lattice points for k > 1, the diagonal mu^(a) family for k = 1."""
+    require_int("d", d)
     block = block_B_descriptor(params, k)
     key = block.block_key()
     pairs = []

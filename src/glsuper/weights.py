@@ -14,7 +14,7 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple
 
 from ._record import Record
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, is_int
 
 
 class SuperParams(Record, order=True):
@@ -23,7 +23,7 @@ class SuperParams(Record, order=True):
     __slots__ = ("m", "n")
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.m, self.n)):
+        if not (is_int(self.m) and is_int(self.n)):
             raise ParameterError("m and n must be integers")
         if not self.m >= self.n >= 1:
             raise ParameterError(f"need m >= n >= 1, got ({self.m}|{self.n})")
@@ -49,7 +49,7 @@ class Weight(Record):
                 f"expected {self.params.rank} coefficients, got {len(coeffs)}"
             )
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise ParameterError(f"non-integral coefficient {c!r}")
 
     @staticmethod

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -411,8 +414,9 @@ def test_ehrhart_k3_reports_infeasible_fit(capsys):
 
 
 # sha256 of stdout: the ehrhart k2/k3 tables recorded from the kernel that
-# looped over every b coordinate, the rest from the CLI that wrote each CSV
-# table and each measured-growth check by hand
+# looped over every b coordinate, the classify and gl(3|2) invariants JSON from
+# the CLI that wrote JSON with json.dumps, the rest from the CLI that wrote
+# each CSV table and each measured-growth check by hand
 STDOUT_SHA256 = {
     ("ehrhart", "--k", "2", "--dmax", "160"):
         "726aa9b3c0997286bc7ea3ebe6b18a8616eee925e94481c9b1e32e6653dbbc1f",
@@ -441,6 +445,10 @@ STDOUT_SHA256 = {
     ("invariants", "--m", "1", "--n", "1", "--kind", "kac", "--weight", "2,-2", "--verify",
      "--format", "csv"):
         "f3d4a9119d3b9d4ccf9266635edc0ebb5dbafb6e68fc38b43c771e5b71dcb86f",
+    ("classify", "--m", "4", "--n", "3", "--sample", "50", "--seed", "3"):
+        "5adbc76486051555507f451ed815288638548d84ad673372cf5a2000bc1c526f",
+    ("invariants", "--m", "3", "--n", "2", "--kind", "kac", "--weight=1,0,0,0,0", "--verify"):
+        "d66a2dd2b9806b1a956431212f044323be47dc2b071834ba5aeb51dc82dca75c",
 }
 
 
@@ -452,12 +460,67 @@ STDOUT_SHA256 = {
         "resolve-kl-json", "resolve-kl-csv", "resolve-csv", "resolve-json",
         "invariants-gl11-simple-json", "invariants-gl11-simple-csv",
         "invariants-gl11-kac-json", "invariants-gl11-kac-csv",
+        "classify-sample-json", "invariants-gl32-kac-json",
     ],
 )
 def test_stdout_matches_recorded_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    # non-ASCII, surrogates and control characters all take \u escapes
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_stdout_matches_json_dumps(value):
+    args = argparse.Namespace(format="json")
+    assert glsuper.cli._emit(value, args) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_stdout_holds_little_more_than_itself():
+    # json.dumps(indent=2) keeps every chunk, about 7.8 times the text, until it joins them
+    params = SuperParams(4, 3)
+    args = argparse.Namespace(weight=None, weights_file=None, sample=300, seed=5, format="json")
+    reports = [glsuper.cli._classify_one(w) for w in glsuper.cli._gather_weights(params, args)]
+    tracemalloc.start()
+    try:
+        text = glsuper.cli._emit(reports, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 150_000
+    assert peak <= 2.5 * len(text), peak / len(text)
+
+
+def test_ehrhart_q_rows_in_integers(capsys, monkeypatch):
+    # Q(d) and count >= Q(d) come from one integer polynomial, not Fraction per row
+    counts = {d: count_lattice_points(2, d) for d in range(1, 161)}
+    bound = polytope.lower_bound_poly(polytope.fit_quasipolynomial(counts, 2))
+
+    def by_fractions(*_args):
+        raise AssertionError("evaluated Q(d) in Fraction arithmetic")
+
+    monkeypatch.setattr(polytope, "eval_poly", by_fractions)
+    code, out, _ = run(capsys, "ehrhart", "--k", "2", "--dmax", "160")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        q = sum(Fraction(c) * row["d"] ** j for j, c in enumerate(bound))
+        assert row["Q"] == str(q) and row["count_ge_Q"] == (row["count"] >= q)
+    assert any("/" in row["Q"] for row in json.loads(out)["rows"])
 
 
 def test_ehrhart_cost_guard_fires_before_counting(capsys, monkeypatch):

@@ -126,6 +126,13 @@ def test_partitions_clamp_parts_to_the_number():
     assert time.perf_counter() - start < 1
 
 
+def test_partitions_refuse_non_integers():
+    # 3.5 stopped in a list product with a bare TypeError, and True counted as 1
+    for i, k in ((3.5, 2), (3, 2.0), (True, 2), (3, True)):
+        with pytest.raises(DomainError, match="^[ik] must be an integer"):
+            partitions_at_most_k_parts(i, k)
+
+
 def test_partitions_match_enumeration_oracle():
     for i in range(0, 13):
         for k in range(1, 5):

@@ -323,6 +323,13 @@ def test_joined_basis_is_not_graded():
         module.weight_diagonal()
 
 
+def test_basis_weights_without_diagonal_units():
+    # one empty tuple per basis vector, not one tuple in all ([] for dimension 2)
+    assert gt.basis_weights({(1, 2): [{}, {}], (2, 1): [{}, {}]}) == [(), ()]
+    assert gt.basis_weights({(1, 2): [{}]}) == [()]
+    assert gt.basis_weights({}) == []
+
+
 def test_weight_diagonal_refuses_non_integral_weights():
     # the one-dimensional gl(1|1)-module of weight (1/2 | -1/2) passes its
     # bracket check, through the product loop, but has no integral weight

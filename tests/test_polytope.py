@@ -257,6 +257,30 @@ def test_count_guards():
         check_count_cost(4, [5])
 
 
+def test_counting_refuses_non_integers_before_any_work(monkeypatch):
+    # a float stopped mid-walk with a bare TypeError, 5.0 and True answered
+    # from the cache entries of 5 and 1, and vertices(True) was vertices(1)
+    assert count_lattice_points(2, 1) == 0 and count_lattice_points(2, 5) == 4
+    vertices(1)
+
+    def no_walk(*_args):
+        raise AssertionError("walked before the integer check")
+
+    monkeypatch.setattr(polytope, "_walk", no_walk)
+    for call in (
+        lambda: count_lattice_points(2, True), lambda: count_lattice_points(2, 5.0),
+        lambda: count_lattice_points(2.0, 5), lambda: enumerate_lattice_points(2, 2.5),
+        lambda: enumerate_lattice_points(2.0, 3), lambda: vertices(True), lambda: vertices(2.5),
+    ):
+        with pytest.raises(DomainError, match=r"^[kd] must be an integer, got (True|\d\.\d)$"):
+            call()
+    with pytest.raises(DomainError, match="k must be an integer, got 2.0"):
+        fit_quasipolynomial({1: 0}, 2.0)
+    for counts in ({1: 0, 2.5: 1}, {1: 0, 2: 1.0}, {True: 0}):
+        with pytest.raises(DomainError, match="^dilations and counts must be integers$"):
+            fit_quasipolynomial(counts, 2)
+
+
 def test_vertices_and_denominator():
     verts = vertices(2)
     assert len(verts) == 6

@@ -295,6 +295,18 @@ def test_build_S_guards():
         build_S(P32, 3, 10)  # k > n
 
 
+def test_nu_and_build_S_refuse_non_integers():
+    # nu(P22, 1.0) returned a weight, and build_S stopped in range() or a
+    # tuple product with a bare TypeError
+    for call in (lambda: nu(P22, 1.0), lambda: nu(P22, True), lambda: build_S(P22, 2.0, 40)):
+        with pytest.raises(DomainError, match="^k must be an integer"):
+            call()
+    for d in (3.5, 61.0):
+        for k in (1, 2):
+            with pytest.raises(DomainError, match="^d must be an integer"):
+                build_S(P22, k, d)
+
+
 def test_check_pair_conditions_refuses_a_pair_outside_the_length_window():
     # sigma <= mu <= nu holds, but l(mu) - l(sigma) = 2 exceeds d = 1
     mu, sigma = (zeta(ZetaInput(P32, 2, x)) for x in ((-5, -5), (-6, -6)))
