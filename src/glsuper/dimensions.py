@@ -123,6 +123,7 @@ def projective_dim_bounds(mu: Weight) -> DimBound:
 
 def proj_growth_exponent(params: SuperParams, k: int) -> int:
     """Exponent (m+n-k-1)k bounding dimensions of projectives along a resolution."""
+    require_int("k", k)
     if not 0 <= k <= params.n:
         raise DomainError(f"atypicality {k} out of range 0..{params.n}")
     return (params.m + params.n - k - 1) * k
@@ -154,7 +155,11 @@ def partitions_at_most_k_parts(i: int, k: int) -> int:
 
 
 def iter_partitions_at_most(i: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of i with at most k parts, padded to length k, lexicographic descending."""
+    """Partitions of i with at most k parts, padded to length k, lexicographic descending.
+
+    Not a generator itself, so a non-integer is refused at the call."""
+    require_int("i", i)
+    require_int("k", k)
 
     def rec(remaining: int, parts_left: int, bound: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -167,7 +172,7 @@ def iter_partitions_at_most(i: int, k: int) -> Iterator[tuple[int, ...]]:
             for rest in rec(remaining - first, parts_left - 1, first):
                 yield (first,) + rest
 
-    yield from rec(i, k, i)
+    return rec(i, k, i)
 
 
 def ext_degree_window(lam: Weight, mu: Weight) -> ExtDegreeWindow:
@@ -196,6 +201,7 @@ def cauchy_symmetric_decomposition(params: SuperParams, d: int) -> list[Weight]:
     module, so the Cauchy identity yields the summand (-tau_k, ..., -tau_1 |
     tau_1, ..., tau_k) with multiplicity one for each such partition tau.
     """
+    require_int("d", d)
     if params.m != params.n:
         raise DomainError("Cauchy decomposition is implemented for gl(k|k) only")
     k = params.n
@@ -224,6 +230,7 @@ def kac_ext_trivial(sigma: Weight, d: int) -> int:
     d = -length(sigma); this is what makes the Ext groups from Kac modules to
     the trivial module one dimensional.
     """
+    require_int("d", d)
     if d < 0:
         raise DomainError("degree must be nonnegative")
     if not is_principal_block_gl_kk(sigma):

@@ -49,7 +49,9 @@ def _weight_module(lam: int, offsets: tuple[int, ...], x, y) -> modules.MatrixMo
     diag = [lam + o for o in offsets]
     e11 = [{i: w} if w else {} for i, w in enumerate(diag)]
     e22 = [{i: -w} if w else {} for i, w in enumerate(diag)]
-    actions = {(1, 1): e11, (2, 2): e22, (1, 2): [dict(c) for c in x], (2, 1): [dict(c) for c in y]}
+    units = {(1, 1): e11, (2, 2): e22, (1, 2): x, (2, 1): y}
+    # flatten builds fresh lists, so an edited module reaches no later one
+    actions = {unit: modules.flatten(cols) for unit, cols in units.items()}
     return modules.MatrixModule(GL11, len(diag), actions, tuple(o % 2 for o in offsets))
 
 

@@ -8,9 +8,14 @@ leave the pattern lattice are dropped, which is consistent because the
 numerators vanish on the boundary in the raising direction and the dropped
 lowering terms correspond to the zero vector.
 
-check_super_brackets is the one check that sparse actions make a
-supermodule: layout, Z2 grading and exact superbrackets, on weight-packed
-columns when the actions are weight graded and by sparse products otherwise.
+An explicit module stores each unit's action as compressed columns (FlatCols):
+the row indices and the values of its entries in column order, and where
+each column ends.  flatten and columns convert between that layout and
+sparse columns.  check_flat_brackets is the one check that such actions
+make a supermodule: layout, Z2 grading and exact superbrackets, on
+weight-packed columns when the actions are weight graded and by sparse
+products otherwise.  check_super_brackets runs it on sparse columns, once
+flattened.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, count, product, repeat
-from operator import add, attrgetter, eq, lshift, mul, neg, sub, xor
+from operator import add, attrgetter, eq, le, lshift, mul, neg, sub, xor
 
 from .._record import Record
 from ..dimensions import check_weyl_work, weyl_dim_gl, weyl_work_gl
@@ -30,6 +35,32 @@ GT_MAX_DIM = 10_000
 BRACKET_CHECK_MAX_DIM = 400
 
 Unit = tuple[int, int]
+# one unit's action: row indices and values of its entries in column order,
+# and per column the position where its entries end
+FlatCols = tuple[list[int], list[int | Fraction], list[int]]
+
+
+def flatten(cols) -> FlatCols:
+    """Sparse columns, any iterable of them, as fresh compressed columns."""
+    rows: list[int] = []
+    vals: list[int | Fraction] = []
+    ends: list[int] = []
+    for col in cols:
+        rows += col
+        vals += col.values()
+        ends.append(len(rows))
+    return rows, vals, ends
+
+
+def columns(flat: FlatCols) -> SparseCols:
+    """Compressed columns as fresh sparse columns."""
+    rows, vals, ends = flat
+    return [dict(zip(rows[start:end], vals[start:end])) for start, end in zip([0, *ends], ends)]
+
+
+def column_of(ends: list[int]) -> list[int]:
+    """Per entry of compressed columns with these (nondecreasing) ends, its column."""
+    return list(chain.from_iterable(map(repeat, count(), map(sub, ends, [0, *ends]))))
 
 
 def unit_parity(m: int, unit: Unit) -> int:
@@ -61,27 +92,67 @@ def _relations(m: int, units: list[Unit]):
                 yield left, right, sign, super_bracket_units(m, left, right)
 
 
-def basis_weights(actions: dict[Unit, SparseCols]) -> list[tuple[int | Fraction, ...]] | None:
+def basis_weights(actions: dict[Unit, FlatCols]) -> list[tuple[int | Fraction, ...]] | None:
     """Per basis vector, its eigenvalues under the diagonal units E_ss in order of s
     (an empty tuple each when there is no E_ss).
 
     None when some E_ss has a nonzero entry off the diagonal.
     """
+    dim = len(next(iter(actions.values()))[2]) if actions else 0
     diags = []
     for unit in sorted(u for u in actions if u[0] == u[1]):
-        cols = actions[unit]
-        if any(i != j and val for j, col in enumerate(cols) for i, val in col.items()):
-            return None
-        diags.append(map(dict.get, cols, count(), repeat(0)))
-    return list(zip(*diags)) if diags else [()] * len(next(iter(actions.values()), ()))
+        rows, vals, ends = actions[unit]
+        diag = [0] * dim
+        for i, j, val in zip(rows, column_of(ends), vals):
+            if i == j:
+                diag[j] = val
+            elif val:
+                return None
+        diags.append(diag)
+    return list(zip(*diags)) if diags else [()] * dim
 
 
 def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, parity) -> None:
+    """check_flat_brackets on sparse columns, flattened."""
+    check_flat_brackets({unit: flatten(cols) for unit, cols in actions.items()}, dim, m, parity)
+
+
+def _check_layout(unit: Unit, action: FlatCols, dim: int) -> tuple[list, list[int], list, list[int]]:
+    """Refuse compressed columns that sparse columns of a dim x dim matrix could
+    not hold (ParameterError); else their rows, each entry's column, values and ends."""
+    if not (isinstance(action, tuple) and len(action) == 3):
+        raise ParameterError(f"{unit} must be a tuple (rows, values, column ends)")
+    rows, vals, ends = action
+    if len(ends) != dim:
+        raise ParameterError(f"{unit} must have {dim} columns")
+    if not all(map(le, [0, *ends], ends)):
+        j = next(j for j, (start, end) in enumerate(zip([0, *ends], ends)) if start > end)
+        raise ParameterError(f"{unit} has column ends that decrease at column {j}")
+    last = ends[-1] if ends else 0
+    if len(rows) != len(vals) or last != len(rows):
+        raise ParameterError(f"{unit} has column ends up to {last} for {len(rows)} rows and {len(vals)} values")
+    if rows and not 0 <= min(rows) <= max(rows) < dim:
+        bad = next(i for i in rows if not 0 <= i < dim)
+        raise ParameterError(f"{unit} has row index {bad} outside 0..{dim - 1}")
+    col_of = column_of(ends)
+    # entry (i, j) as the int j dim + i: a column repeats a row exactly when two are equal
+    if len(set(map(add, map(mul, col_of, repeat(dim)), rows))) != len(rows):
+        seen = set()
+        for i, j in zip(rows, col_of):
+            if (i, j) in seen:
+                raise ParameterError(f"{unit} repeats row {i} in column {j}")
+            seen.add((i, j))
+    return rows, col_of, vals, ends
+
+
+def check_flat_brackets(actions: dict[Unit, FlatCols], dim: int, m: int, parity) -> None:
     """Refuse actions unless they make a supermodule graded by the labels parity.
 
-    From each unit's entries, flattened once, it refuses in turn a malformed
-    layout (ParameterError), a unit that breaks the Z2 grading, and a failing
-    relation XY - (-1)^{|X||Y|} YX = [X, Y] (both InternalCheckError).
+    From each unit's compressed columns it refuses in turn a malformed layout
+    (ParameterError: a column count other than dim, column ends that decrease
+    or that do not end at the entries, a row outside 0..dim-1 or repeated in
+    a column), a unit that breaks the Z2 grading, and a failing relation XY -
+    (-1)^{|X||Y|} YX = [X, Y] (both InternalCheckError).
 
     Each unordered pair is checked once: swapping X and Y multiplies both
     sides of the relation by -(-1)^{|X||Y|}, so the reversed relation holds
@@ -106,16 +177,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
     pair with sparse products of the scaled columns, in _check_by_products.
     """
     # per unit, its entries in column order: rows, columns, values, and where each column ends
-    flat = {}
-    for unit, cols in actions.items():
-        if len(cols) != dim:
-            raise ParameterError(f"{unit} must have {dim} columns")
-        rows = list(chain.from_iterable(cols))
-        if rows and not 0 <= min(rows) <= max(rows) < dim:
-            bad = next(i for i in rows if not 0 <= i < dim)
-            raise ParameterError(f"{unit} has row index {bad} outside 0..{dim - 1}")
-        col_of = list(chain.from_iterable(map(repeat, range(dim), map(len, cols))))
-        flat[unit] = rows, col_of, list(chain.from_iterable(map(dict.values, cols))), list(accumulate(map(len, cols)))
+    flat = {unit: _check_layout(unit, action, dim) for unit, action in actions.items()}
     bits = [label % 2 for label in parity]
     for unit, (rows, col_of, vals, _) in flat.items():
         flip = unit_parity(m, unit)
@@ -169,7 +231,7 @@ def check_super_brackets(actions: dict[Unit, SparseCols], dim: int, m: int, pari
             raise InternalCheckError(f"bracket relation fails for {left}, {right}")
 
 
-def _weight_slots(actions: dict[Unit, SparseCols], flat: dict[Unit, tuple[list, list, list, list]]) -> list[int] | None:
+def _weight_slots(actions: dict[Unit, FlatCols], flat: dict[Unit, tuple[list, list, list, list]]) -> list[int] | None:
     """Each basis vector's index inside its weight space, or None unless the actions are graded.
 
     Graded means that every E_ss acts diagonally with integral eigenvalues,
@@ -199,12 +261,9 @@ def _weight_slots(actions: dict[Unit, SparseCols], flat: dict[Unit, tuple[list, 
 
 
 def _check_by_products(flat: dict[Unit, tuple[list, list, list, list]], dim: int, m: int, scale: int) -> None:
-    """check_super_brackets for any actions: X'Y' = (-1)^{|X||Y|} Y'X' + D [X, Y]'
+    """check_flat_brackets for any actions: X'Y' = (-1)^{|X||Y|} Y'X' + D [X, Y]'
     per pair, by sparse products of the columns scaled by D."""
-    scaled = {
-        unit: [dict(zip(rows[start:end], vals[start:end])) for start, end in zip([0, *ends], ends)]
-        for unit, (rows, _, vals, ends) in flat.items()
-    }
+    scaled = {unit: columns((rows, vals, ends)) for unit, (rows, _, vals, ends) in flat.items()}
     for left, right, sign, terms in _relations(m, sorted(flat)):
         xy = sparse_mul(scaled[left], scaled[right])
         yx = xy if right == left else sparse_mul(scaled[right], scaled[left])

@@ -1,17 +1,20 @@
 """Explicit matrix realizations of gl(m|n) modules and odd rank-variety tests.
 
-A module is a dict of exact sparse matrices, one per matrix unit E_{ij},
-together with a parity label per basis vector.  Each matrix is stored as
-sparse columns (column j maps row i to a nonzero entry), with int entries
-wherever they are integral.  Kac modules are built on the exterior algebra
-of one odd side tensored with a Gelfand-Tsetlin model of the even simple
-module.  Every unit x follows one straightening rule, x (w ^ r) = [x, w] r +
-(-1)^{|x|} w ^ (x r), which reads columns built before: [x, w] is 0 for x on
-the wedge side, a wedge unit for even x and an even unit for the opposite
-odd side, and r has fewer exterior factors.
-Every constructed module is validated by one pass of gt.check_super_brackets
-over each unit's entries: its layout, its Z2 grading and the full set of
-superbracket relations.
+A module is a dict of exact matrices, one per matrix unit E_{ij}, together
+with a parity label per basis vector.  Each matrix is stored as compressed
+columns, gt.FlatCols: a plain tuple of three lists, the row indices and the
+values of its entries in column order and where each column ends, with int
+entries wherever they are integral.  No other layout is stored;
+MatrixModule.action hands out fresh sparse columns.  Kac modules are built
+on the exterior algebra of one odd side tensored with a Gelfand-Tsetlin
+model of the even simple module.  Every unit x follows one straightening
+rule, x (w ^ r) = [x, w] r + (-1)^{|x|} w ^ (x r), which reads columns built
+before: [x, w] is 0 for x on the wedge side, a wedge unit for even x and an
+even unit for the opposite odd side, and r has fewer exterior factors.  Each
+column is summed in one dict and appended to the unit's lists as it is
+finished.  Every constructed module is validated by one pass of
+gt.check_flat_brackets over the stored lists: its layout, its Z2 grading and
+the full set of superbracket relations.
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ from fractions import Fraction
 from .._record import Record
 from ..dimensions import weyl_dim_g0
 from ..errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
-from ..ratlinalg import SparseCols, exact, sparse_add_scaled, sparse_mul, sparse_rank
+from ..ratlinalg import SparseCols, exact, sparse_mul, sparse_rank
 from ..weights import SuperParams, Weight, require_dominant
 from .gt import (
+    FlatCols,
     Unit,
     basis_weights,
-    check_super_brackets,
+    check_flat_brackets,
+    column_of,
+    columns,
+    flatten,
     gl_simple,
     super_bracket_units,
     unit_parity,
@@ -50,7 +57,7 @@ OddElement = tuple[tuple[Unit, int], ...]
 
 
 class MatrixModule(Record, frozen=False):
-    """Finite-dimensional gl(m|n)-module given by sparse columns per unit E_{ij}."""
+    """Finite-dimensional gl(m|n)-module given by compressed columns per unit E_{ij}."""
 
     __slots__ = ("params", "dim", "actions", "parity")
 
@@ -63,12 +70,13 @@ class MatrixModule(Record, frozen=False):
         self.check_brackets()
 
     def action(self, i: int, j: int) -> SparseCols:
-        return self.actions[(i, j)]
+        """Fresh sparse columns of E_ij."""
+        return columns(self.actions[(i, j)])
 
     def check_brackets(self) -> None:
         """The layout, the Z2 grading by the parity labels and the exact
         superbrackets [E_ab, E_cd] over all generator pairs, in one pass."""
-        check_super_brackets(self.actions, self.dim, self.params.m, self.parity)
+        check_flat_brackets(self.actions, self.dim, self.params.m, self.parity)
 
     def weight_diagonal(self) -> list[tuple[int, ...]]:
         """Per basis vector, the eigenvalue tuple of the diagonal units E_ii."""
@@ -86,25 +94,27 @@ class MatrixModule(Record, frozen=False):
 def direct_sum(a: MatrixModule, b: MatrixModule) -> MatrixModule:
     if a.params != b.params:
         raise ParameterError("summands must share parameters")
-    actions = {
-        unit: cols + [{a.dim + i: v for i, v in col.items()} for col in b.actions[unit]]
-        for unit, cols in a.actions.items()
-    }
+    actions = {}
+    for unit, (rows, vals, ends) in a.actions.items():
+        b_rows, b_vals, b_ends = b.actions[unit]
+        actions[unit] = (
+            rows + [a.dim + i for i in b_rows], vals + b_vals, ends + [len(rows) + end for end in b_ends]
+        )
     return MatrixModule(a.params, a.dim + b.dim, actions, a.parity + b.parity)
 
 
-def _g0_unit_cols(params: SuperParams, left_rep, right_rep, unit: Unit) -> SparseCols:
-    """Column-sparse action of an even unit on the tensor basis p*dimB + q."""
+def _g0_unit_flat(params: SuperParams, left_rep, right_rep, unit: Unit) -> FlatCols:
+    """Compressed columns of an even unit on the tensor basis p*dimB + q."""
     m = params.m
     dim_b = right_rep.dim
     cells = [(p, q) for p in range(left_rep.dim) for q in range(dim_b)]
     a, b = unit
     if a <= m and b <= m:
         factor = left_rep.actions[(a, b)]
-        return [{p2 * dim_b + q: v for p2, v in factor[p].items()} for p, q in cells]
+        return flatten({p2 * dim_b + q: v for p2, v in factor[p].items()} for p, q in cells)
     if a > m and b > m:
         factor = right_rep.actions[(a - m, b - m)]
-        return [{p * dim_b + q2: v for q2, v in factor[q].items()} for p, q in cells]
+        return flatten({p * dim_b + q2: v for q2, v in factor[q].items()} for p, q in cells)
     raise ParameterError(f"{unit} is not an even unit")
 
 
@@ -158,46 +168,54 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
     # vector (head, rest..., u).  [x, w_head] is 0 for a wedge unit x, a wedge unit
     # for even x and an even unit for straight x, built before x; subsets grow, so
     # x rest is built too.  On 1 ^ u a wedge unit w_t gives w_t ^ u, a straight
-    # unit 0, and an even unit its action on L0.
-    action_cols: dict[Unit, SparseCols] = {}
+    # unit 0, and an even unit its action on L0.  Column c of a unit holds the
+    # entries from position ends[c - 1] (0 for c = 0) to ends[c] of its lists.
+    actions: dict[Unit, FlatCols] = {}
     for x_unit in wedge_units + even_units + straight_units:
         if x_unit in wedge_units:
-            single = subset_index[(wedge_units.index(x_unit),)]
-            x_sign, bracket_side, cols = -1, even_units, [{single * dim_l0 + u: 1} for u in range(dim_l0)]
+            start = subset_index[(wedge_units.index(x_unit),)] * dim_l0
+            x_sign, bracket_side = -1, even_units
+            rows, vals, ends = list(range(start, start + dim_l0)), [1] * dim_l0, list(range(1, dim_l0 + 1))
         elif x_unit in straight_units:
-            x_sign, bracket_side, cols = -1, even_units, [dict() for _ in range(dim_l0)]
+            x_sign, bracket_side, (rows, vals, ends) = -1, even_units, ([], [], [0] * dim_l0)
         else:
-            x_sign, bracket_side, cols = 1, wedge_units, _g0_unit_cols(params, left_rep, right_rep, x_unit)
+            x_sign, bracket_side = 1, wedge_units
+            rows, vals, ends = _g0_unit_flat(params, left_rep, right_rep, x_unit)
         brackets = [super_bracket_units(m, x_unit, gen) for gen in wedge_units]
         for gen, terms in zip(wedge_units, brackets):
             if any(unit not in bracket_side for unit, _ in terms):
                 raise InternalCheckError(f"[{x_unit}, {gen}] leaves the units built before {x_unit}")
         for subset in subsets[1:]:
             head, rest_idx = subset[0], subset_index[subset[1:]]
-            bracket_cols = [(action_cols[unit], coeff) for unit, coeff in brackets[head]]
+            bracket_flat = [(actions[unit], coeff) for unit, coeff in brackets[head]]
             for u in range(dim_l0):
                 rest_col = rest_idx * dim_l0 + u
                 out: dict[int, int | Fraction] = defaultdict(int)
-                for unit_cols, coeff in bracket_cols:
-                    for key, val in unit_cols[rest_col].items():
-                        out[key] += coeff * val
-                for key, val in cols[rest_col].items():
+                for (unit_rows, unit_vals, unit_ends), coeff in bracket_flat:
+                    for pos in range(unit_ends[rest_col - 1] if rest_col else 0, unit_ends[rest_col]):
+                        out[unit_rows[pos]] += coeff * unit_vals[pos]
+                for pos in range(ends[rest_col - 1] if rest_col else 0, ends[rest_col]):
+                    key = rows[pos]
                     into = wedge_into[key // dim_l0]
                     if head in into:
                         target, sign = into[head]
-                        out[target * dim_l0 + key % dim_l0] += x_sign * sign * val
-                # sums of fractions may come out integral; columns stay exact
-                cols.append({key: exact(v) for key, v in out.items() if v})
-        action_cols[x_unit] = cols
+                        out[target * dim_l0 + key % dim_l0] += x_sign * sign * vals[pos]
+                # sums of fractions may come out integral; entries stay exact
+                for key, v in out.items():
+                    if v:
+                        rows.append(key)
+                        vals.append(exact(v))
+                ends.append(len(rows))
+        actions[x_unit] = rows, vals, ends
 
     parity = tuple(len(subsets[idx // dim_l0]) % 2 for idx in range(dim))
-    return MatrixModule(params, dim, action_cols, parity)
+    return MatrixModule(params, dim, actions, parity)
 
 
 def trivial_module(params: SuperParams) -> MatrixModule:
     """The one-dimensional module with every unit acting by zero."""
     units = {
-        (i, j): [{}]
+        (i, j): ([], [], [0])
         for i in range(1, params.rank + 1)
         for j in range(1, params.rank + 1)
     }
@@ -223,13 +241,20 @@ def dual_kac_module(lam: Weight) -> MatrixModule:
 
 
 def element_matrix(module: MatrixModule, element: OddElement) -> SparseCols:
-    """Sparse columns of a linear combination of odd units."""
-    terms = []
-    for unit, coeff in element:
+    """Sparse columns of a linear combination of odd units, summed from their compressed columns."""
+    for unit, _ in element:
         if not unit_parity(module.params.m, unit):
             raise DomainError(f"{unit} is not an odd unit")
-        terms.append((module.actions[unit], coeff))
-    return sparse_add_scaled(terms, module.dim)
+    cols: SparseCols = [{} for _ in range(module.dim)]
+    for unit, coeff in element:
+        rows, vals, ends = module.actions[unit]
+        for i, col, val in zip(rows, map(cols.__getitem__, column_of(ends)), vals):
+            total = col.get(i, 0) + coeff * val
+            if total:
+                col[i] = total
+            else:
+                col.pop(i, None)
+    return cols
 
 
 def rank_element(module: MatrixModule, element: OddElement) -> int:

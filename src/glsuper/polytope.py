@@ -106,6 +106,7 @@ def _system(k: int) -> RationalPolytope:
 
 def build_polytope(k: int) -> RationalPolytope:
     """H-representation at d=1: one equality and 3k+2 inequalities."""
+    require_int("k", k)
     if k < 2:
         raise DegenerateCaseError(
             "the polytope degenerates for k=1; use k1_degenerate_point()"
@@ -115,6 +116,7 @@ def build_polytope(k: int) -> RationalPolytope:
 
 def interior_witness(k: int) -> tuple[Fraction, ...]:
     """The explicit interior point with delta = 3/5 and delta' = (7k-13)/20."""
+    require_int("k", k)
     if k < 2:
         raise DegenerateCaseError("interior witness needs k >= 2")
     delta = Fraction(3, 5)
@@ -269,8 +271,11 @@ def check_count_cost(k: int, ds: Iterable[int]) -> None:
     Raises what count_lattice_points raises for k, and ResourceLimitError when
     the predicted number of _clipped_sum calls exceeds COUNT_MAX_STEPS.
     """
+    require_int("k", k)
     _check_count_k(k)
     ds = list(ds)
+    for d in ds:
+        require_int("d", d)
     steps = sum(d ** (2 * k - 3) for d in ds) // _CALL_DIVISOR[k]
     if steps > COUNT_MAX_STEPS:
         raise ResourceLimitError(
@@ -281,6 +286,8 @@ def check_count_cost(k: int, ds: Iterable[int]) -> None:
 
 def brute_force_count(k: int, d: int) -> int:
     """Independent oracle: scan the full box [-d, 0]^{2k} (d <= 8, k <= 3 only)."""
+    require_int("k", k)
+    require_int("d", d)
     if d < 1:
         raise DomainError("dilation must be positive")
     if d > 8 or k > 3:

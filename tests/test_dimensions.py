@@ -133,6 +133,32 @@ def test_partitions_refuse_non_integers():
             partitions_at_most_k_parts(i, k)
 
 
+GL11_ZERO = Weight.zero(SuperParams(1, 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cauchy_symmetric_decomposition(SuperParams(2, 2), 2.5), "d must be an integer, got 2.5"),
+        (lambda: iter_partitions_at_most(3.5, 2), "i must be an integer, got 3.5"),
+        (lambda: iter_partitions_at_most(3, True), "k must be an integer, got True"),
+        (lambda: proj_growth_exponent(SuperParams(3, 2), 1.5), "k must be an integer, got 1.5"),
+        (lambda: proj_growth_exponent(SuperParams(3, 2), True), "k must be an integer, got True"),
+        (lambda: kac_ext_trivial(GL11_ZERO, 2.5), "d must be an integer, got 2.5"),
+    ],
+    ids=[
+        "cauchy_symmetric_decomposition", "iter_partitions_at_most-float", "iter_partitions_at_most-bool",
+        "proj_growth_exponent-float", "proj_growth_exponent-bool", "kac_ext_trivial",
+    ],
+)
+def test_dimension_calls_refuse_non_integers_at_the_call(call, message):
+    # these raised a bare TypeError (iter_partitions_at_most only once
+    # iterated), or answered: proj_growth_exponent(gl(3|2), 1.5) gave 3.75 and
+    # kac_ext_trivial(0, 2.5) gave 0
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_partitions_match_enumeration_oracle():
     for i in range(0, 13):
         for k in range(1, 5):

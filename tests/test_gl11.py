@@ -34,10 +34,10 @@ P11 = SuperParams(1, 1)
 def test_edited_modules_leave_later_modules_and_resolutions_alone():
     resolutions = [gl11_minimal_resolution(kind, 3, 6) for kind in ("kac", "simple")]
     for build in (gl11_kac, gl11_simple, gl11_projective):
-        before = {unit: [dict(col) for col in cols] for unit, cols in build(3).actions.items()}
-        for cols in build(3).actions.values():
-            for col in cols:
-                col[0] = 7
+        before = {unit: tuple(map(list, lists)) for unit, lists in build(3).actions.items()}
+        for lists in build(3).actions.values():
+            for part in lists:
+                part[:] = [7] * (len(part) + 1)
         assert build(3).actions == before
     assert [gl11_minimal_resolution(kind, 3, 6) for kind in ("kac", "simple")] == resolutions
 
@@ -68,7 +68,7 @@ def test_kac_against_general_builder():
             w[0] for w in general.weight_diagonal()
         )
         for unit in ((1, 2), (2, 1)):
-            assert sparse_rank(special.actions[unit]) == sparse_rank(general.actions[unit])
+            assert sparse_rank(special.action(*unit)) == sparse_rank(general.action(*unit))
 
 
 def test_simple_module():

@@ -1,4 +1,7 @@
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,3 +70,22 @@ def test_traced_names_resolve_after_cli_import():
         if not callable(owner):
             missing.append(f"{module_name}:{attr}")
     assert not missing, f"traced names that do not resolve: {missing}"
+
+
+def test_tracer_counts_a_traced_modules_op(tmp_path):
+    # final_counts iterates each built module's units, so a unit must stay a
+    # plain tuple of lists for every traced modules op to finish
+    spans = tmp_path / "spans.json"
+    argv = ["invariants", "--m", "3", "--n", "2", "--kind", "kac", "--verify", "--weight=1,0,0,0,0"]
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "--", *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(spans.read_text(encoding="utf-8"))
+    counts = record["counts"]
+    assert counts["oracle.modules.dim"] == 192
+    assert counts["oracle.modules.dense_entries"] == 25 * 192**2
+    assert counts["oracle.modules.check_brackets.pairs"] == 25**2
+    assert counts["oracle.modules.nnz"] > 0
+    assert {"oracle.modules.kac_module", "oracle.modules.rank_variety"} <= {span[0] for span in record["spans"]}

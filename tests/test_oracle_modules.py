@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,14 @@ from glsuper.dimensions import projective_dim_bounds, weyl_dim_g0
 from glsuper.errors import DomainError, InternalCheckError, ParameterError, ResourceLimitError
 from glsuper.oracle import gt, modules
 from glsuper.oracle.gl11 import gl11_kac, gl11_projective
-from glsuper.oracle.gt import check_super_brackets, gl_simple, super_bracket_units
+from glsuper.oracle.gt import (
+    check_flat_brackets,
+    check_super_brackets,
+    columns,
+    flatten,
+    gl_simple,
+    super_bracket_units,
+)
 from glsuper.oracle.modules import (
     KAC_MAX_COST,
     MatrixModule,
@@ -39,6 +47,16 @@ from glsuper.weights import SuperParams, Weight
 P11 = SuperParams(1, 1)
 P21 = SuperParams(2, 1)
 P22 = SuperParams(2, 2)
+
+
+def flat(actions):
+    """Sparse columns per unit as the compressed columns a MatrixModule stores."""
+    return {unit: flatten(cols) for unit, cols in actions.items()}
+
+
+def sparse(actions):
+    """Compressed columns per unit as fresh sparse columns."""
+    return {unit: columns(lists) for unit, lists in actions.items()}
 
 
 def test_gl11_kac_module_actions():
@@ -172,13 +190,31 @@ def test_kac_cost_guard_admits_measured_modules():
         assert cost <= KAC_MAX_COST
 
 
+def test_benchmark_modules_are_built_and_checked_in_little_memory():
+    # each unit is stored as three flat lists; stored as one dict per column
+    # a dimension-192 gl(3|2) module held 0.84 MB and its build and check
+    # peaked at 1.30 MB (Python 3.11)
+    p32 = SuperParams(3, 2)
+    kac_module(Weight.zero(p32))  # the lazy bodies load outside the trace
+    for build in (kac_module, dual_kac_module):
+        tracemalloc.start()
+        try:
+            module = build(Weight(p32, (1, 0, 0, 0, 0)))
+            module.check_brackets()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert module.dim == 192
+        assert held <= 200_000 and peak <= 700_000, (build.__name__, held, peak)
+
+
 # E11 = 1, E22 = 0 and zero odd units break [E12, E21] = E11 + E22
 BROKEN_GL11 = {(1, 1): [{0: 1}], (2, 2): [{}], (1, 2): [{}], (2, 1): [{}]}
 
 
 def test_broken_bracket_rejected():
     with pytest.raises(InternalCheckError, match="bracket relation fails"):
-        MatrixModule(P11, 1, BROKEN_GL11, (0,))
+        MatrixModule(P11, 1, flat(BROKEN_GL11), (0,))
 
 
 def test_odd_square_alone_rejected():
@@ -193,19 +229,19 @@ def test_odd_square_alone_rejected():
     }
     s_cols, s_inv_cols = [{0: 1}, {1: 1}, {0: 1, 2: 1}], [{0: 1}, {1: 1}, {0: -1, 2: 1}]
     joined = {unit: sparse_mul(sparse_mul(s_cols, cols), s_inv_cols) for unit, cols in actions.items()}
-    assert gt.basis_weights(joined) is None
+    assert gt.basis_weights(flat(joined)) is None
     for case in (actions, joined):
         with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(1, 2\)$"):
-            MatrixModule(P11, 3, case, (0, 1, 0))
+            MatrixModule(P11, 3, flat(case), (0, 1, 0))
 
 
 def conjugated(module, s_cols, s_inv_cols):
     """The same module in another basis: every unit X becomes S X S^-1."""
     actions = {
         unit: [{i: exact(v) for i, v in col.items()} for col in sparse_mul(sparse_mul(s_cols, cols), s_inv_cols)]
-        for unit, cols in module.actions.items()
+        for unit, cols in sparse(module.actions).items()
     }
-    return MatrixModule(module.params, module.dim, actions, module.parity)
+    return MatrixModule(module.params, module.dim, flat(actions), module.parity)
 
 
 def joined_basis(module):
@@ -234,7 +270,7 @@ def test_column_errors_do_not_cancel_across_slots():
         (1, 2): [{}, {}, {0: -7, 1: 1}, {1: 1}],
         (2, 1): [{2: 1}, {3: 1}, {}, {}],
     }
-    assert gt.basis_weights(actions) == [(1, 0), (1, 0), (0, 1), (0, 1)]
+    assert gt.basis_weights(flat(actions)) == [(1, 0), (1, 0), (0, 1), (0, 1)]
     for check in (check_super_brackets, slow_modules.check_super_brackets):
         with pytest.raises(InternalCheckError, match=r"fails for \(1, 2\), \(2, 1\)$"):
             check(actions, 4, 2, (0,) * 4)
@@ -269,7 +305,7 @@ BRACKET_CASES = {
 def bracket_case(name):
     module = BRACKET_CASES[name]()
     if isinstance(module, MatrixModule):
-        return module.actions, module.dim, module.params.m, module.parity
+        return sparse(module.actions), module.dim, module.params.m, module.parity
     return module.actions, module.dim, module.r, (0,) * module.dim
 
 
@@ -311,6 +347,8 @@ def test_integer_bracket_check_matches_slow_oracle(data):
         actions = {u: [{i: exact(c * v) for i, v in col.items()} for col in cols] for u, cols in actions.items()}
     fast = bracket_outcome(check_super_brackets, actions, dim, m, parity)
     assert fast == bracket_outcome(slow_modules.check_super_brackets, actions, dim, m, parity)
+    # the compressed columns a MatrixModule stores get the same verdict and message
+    assert fast == bracket_outcome(check_flat_brackets, flat(actions), dim, m, parity)
     if kind == "none":
         assert fast is None
 
@@ -325,8 +363,8 @@ def test_joined_basis_is_not_graded():
 
 def test_basis_weights_without_diagonal_units():
     # one empty tuple per basis vector, not one tuple in all ([] for dimension 2)
-    assert gt.basis_weights({(1, 2): [{}, {}], (2, 1): [{}, {}]}) == [(), ()]
-    assert gt.basis_weights({(1, 2): [{}]}) == [()]
+    assert gt.basis_weights(flat({(1, 2): [{}, {}], (2, 1): [{}, {}]})) == [(), ()]
+    assert gt.basis_weights(flat({(1, 2): [{}]})) == [()]
     assert gt.basis_weights({}) == []
 
 
@@ -334,7 +372,7 @@ def test_weight_diagonal_refuses_non_integral_weights():
     # the one-dimensional gl(1|1)-module of weight (1/2 | -1/2) passes its
     # bracket check, through the product loop, but has no integral weight
     half = Fraction(1, 2)
-    module = MatrixModule(P11, 1, {(1, 1): [{0: half}], (2, 2): [{0: -half}], (1, 2): [{}], (2, 1): [{}]}, (0,))
+    module = MatrixModule(P11, 1, flat({(1, 1): [{0: half}], (2, 2): [{0: -half}], (1, 2): [{}], (2, 1): [{}]}), (0,))
     with pytest.raises(InternalCheckError, match="is not integral"):
         module.weight_diagonal()
 
@@ -382,8 +420,8 @@ def test_construction_matches_recursive_straightening(params, coeffs):
         (dual_kac_module(w), slow_modules.dual_induced_actions(w)),
     ):
         assert module.parity == parity
-        assert module.actions == actions
-        assert entry_types(module.actions) == entry_types(actions)
+        assert sparse(module.actions) == actions
+        assert entry_types(sparse(module.actions)) == entry_types(actions)
 
 
 @pytest.mark.parametrize(
@@ -407,7 +445,7 @@ def test_broken_parity_rejected():
     # an odd unit that maps an even vector to an even vector
     actions = {(1, 1): [{}, {}], (2, 2): [{}, {}], (1, 2): [{1: 1}, {}], (2, 1): [{}, {}]}
     with pytest.raises(InternalCheckError, match="parity"):
-        MatrixModule(P11, 2, actions, (0, 0))
+        MatrixModule(P11, 2, flat(actions), (0, 0))
 
 
 # v0 of weight (0|0) and v1 of weight (1|-1), E12: v0 -> v1 and E21 = 0: every
@@ -422,11 +460,11 @@ def test_module_breaking_only_parity_rejected():
         with pytest.raises(InternalCheckError, match=r"^\(1, 2\) breaks the parity grading at \(1, 0\)$"):
             check(PARITY_ONLY_GL11, 2, P11.m, even)
     with pytest.raises(InternalCheckError, match=r"^\(1, 2\) breaks the parity grading at \(1, 0\)$"):
-        MatrixModule(P11, 2, PARITY_ONLY_GL11, even)
+        MatrixModule(P11, 2, flat(PARITY_ONLY_GL11), even)
     # with v1 odd it is a module, so the parity labels are all that was wrong
     check_super_brackets(PARITY_ONLY_GL11, 2, P11.m, (0, 1))
     slow_modules.check_super_brackets(PARITY_ONLY_GL11, 2, P11.m, (0, 1))
-    assert MatrixModule(P11, 2, PARITY_ONLY_GL11, (0, 1)).dim == 2
+    assert MatrixModule(P11, 2, flat(PARITY_ONLY_GL11), (0, 1)).dim == 2
 
 
 def test_check_brackets_rejects_parity_edit_of_built_module():
@@ -438,7 +476,9 @@ def test_check_brackets_rejects_parity_edit_of_built_module():
         module.check_brackets()
     module = kac_module(Weight(P21, (1, 0, 0)))
     assert module.parity[:3] == (0, 0, 1)
-    module.actions[(1, 1)][0][2] = 1  # an even unit joining an even and an odd vector
+    e11 = module.action(1, 1)
+    e11[0][2] = 1  # an even unit joining an even and an odd vector
+    module.actions[(1, 1)] = flatten(e11)
     with pytest.raises(InternalCheckError, match=r"^\(1, 1\) breaks the parity grading at \(2, 0\)$"):
         module.check_brackets()
 
@@ -449,20 +489,20 @@ def test_layout_is_refused_before_parity_and_parity_before_brackets():
     # earlier order of separate passes
     bad_parity = {**BROKEN_GL11, (1, 2): [{0: 1}]}
     with pytest.raises(InternalCheckError, match="parity grading"):
-        MatrixModule(P11, 1, bad_parity, (0,))
+        MatrixModule(P11, 1, flat(bad_parity), (0,))
     with pytest.raises(ParameterError, match="row index 1 outside"):
-        MatrixModule(P11, 1, {**bad_parity, (2, 1): [{1: 1}]}, (0,))
+        MatrixModule(P11, 1, flat({**bad_parity, (2, 1): [{1: 1}]}), (0,))
     with pytest.raises(InternalCheckError, match="bracket relation fails"):
-        MatrixModule(P11, 1, BROKEN_GL11, (0,))
+        MatrixModule(P11, 1, flat(BROKEN_GL11), (0,))
 
 
 def test_malformed_layout_rejected():
     short = {**BROKEN_GL11, (1, 1): []}
     with pytest.raises(ParameterError, match="columns"):
-        MatrixModule(P11, 1, short, (0,))
+        MatrixModule(P11, 1, flat(short), (0,))
     outside = {**BROKEN_GL11, (1, 1): [{1: 1}]}
     with pytest.raises(ParameterError, match="row index"):
-        MatrixModule(P11, 1, outside, (0,))
+        MatrixModule(P11, 1, flat(outside), (0,))
 
 
 @pytest.mark.parametrize(
@@ -475,9 +515,48 @@ def test_malformed_layout_rejected():
 )
 def test_bracket_check_refuses_malformed_layout(e12, message):
     # called directly, without MatrixModule's own checks in front of it
-    actions = {**trivial_module(P11).actions, (1, 2): e12}
+    actions = {**sparse(trivial_module(P11).actions), (1, 2): e12}
     with pytest.raises(ParameterError, match=message):
         check_super_brackets(actions, 1, P11.m, (0,))
+
+
+@pytest.mark.parametrize(
+    "e12,message",
+    [
+        (([1, 1], [1, 2], [2, 2]), r"^\(1, 2\) repeats row 1 in column 0$"),
+        (([1], [1], [1, 0]), r"^\(1, 2\) has column ends that decrease at column 1$"),
+        (([1], [1], [0, 0]), r"^\(1, 2\) has column ends up to 0 for 1 rows and 1 values$"),
+        (([1], [1, 2], [1, 1]), r"^\(1, 2\) has column ends up to 1 for 1 rows and 2 values$"),
+        (([1], [1], [1, 2]), r"^\(1, 2\) has column ends up to 2 for 1 rows and 1 values$"),
+        ([{1: 1}, {}], r"^\(1, 2\) must be a tuple \(rows, values, column ends\)$"),
+    ],
+    ids=["repeated-row", "decreasing-ends", "ends-short", "values-long", "ends-long", "sparse-columns"],
+)
+def test_flat_layout_sparse_columns_could_not_hold_refused(e12, message):
+    # E12 of the module PARITY_ONLY_GL11 with v1 odd, replaced by compressed
+    # columns that no sparse columns flatten to; each is refused as a layout
+    # before the grading and the brackets are read
+    actions = {**flat(PARITY_ONLY_GL11), (1, 2): e12}
+    with pytest.raises(ParameterError, match=message):
+        check_flat_brackets(actions, 2, P11.m, (0, 1))
+    with pytest.raises(ParameterError, match=message):
+        MatrixModule(P11, 2, actions, (0, 1))
+
+
+ENTRY = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 9), ENTRY, max_size=4), max_size=8))
+def test_flatten_and_columns_round_trip(cols):
+    rows, vals, ends = flatten(cols)
+    assert len(ends) == len(cols) and ends == sorted(ends) and (ends[-1] if ends else 0) == len(rows) == len(vals)
+    back = columns((rows, vals, ends))
+    # equal columns with their entries in the same order, int and Fraction kept apart
+    assert back == cols
+    assert [[(i, type(v)) for i, v in col.items()] for col in back] == [
+        [(i, type(v)) for i, v in col.items()] for col in cols
+    ]
 
 
 def test_induced_module_checks_side_before_any_work(monkeypatch):
@@ -498,17 +577,21 @@ BROKEN_NOT_GRADED = {(1, 1): [{}, {0: 1}], (2, 2): [{}, {}], (1, 2): [{}, {}], (
 
 def test_broken_module_rejected_under_optimize():
     # the gates raise instead of asserting, so python -O keeps them, on the
-    # packed path and on the product loop alike, and the parity gate too
-    assert gt.basis_weights(BROKEN_GL11) is not None and gt.basis_weights(BROKEN_NOT_GRADED) is None
-    cases = ((1, BROKEN_GL11), (2, BROKEN_NOT_GRADED), (2, PARITY_ONLY_GL11))
+    # packed path and on the product loop alike, and the parity and layout gates too
+    assert gt.basis_weights(flat(BROKEN_GL11)) is not None and gt.basis_weights(flat(BROKEN_NOT_GRADED)) is None
+    # E11 holds row 1 twice in column 1, which no sparse column can
+    repeated_row = {**flat(PARITY_ONLY_GL11), (1, 1): ([1, 1], [1, 0], [0, 2])}
+    cases = tuple(
+        (dim, flat(actions)) for dim, actions in ((1, BROKEN_GL11), (2, BROKEN_NOT_GRADED), (2, PARITY_ONLY_GL11))
+    ) + ((2, repeated_row),)
     script = (
-        "from glsuper.errors import InternalCheckError\n"
+        "from glsuper.errors import InternalCheckError, ParameterError\n"
         "from glsuper.oracle.modules import MatrixModule\n"
         "from glsuper.weights import SuperParams\n"
         f"for dim, actions in {cases!r}:\n"
         "    try:\n"
         "        MatrixModule(SuperParams(1, 1), dim, actions, (0,) * dim)\n"
-        "    except InternalCheckError as exc:\n"
+        "    except (InternalCheckError, ParameterError) as exc:\n"
         "        print('rejected:', exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
@@ -517,10 +600,11 @@ def test_broken_module_rejected_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3, proc.stdout
+    assert len(lines) == 4, proc.stdout
     for line in lines[:2]:
         assert line.startswith("rejected: bracket relation fails"), proc.stdout
     assert lines[2] == "rejected: (1, 2) breaks the parity grading at (1, 0)", proc.stdout
+    assert lines[3] == "rejected: (1, 1) repeats row 1 in column 1", proc.stdout
 
 
 def test_odd_projectivity_trivial_module():
@@ -644,5 +728,5 @@ def test_matrix_csv_refuses_rows_outside_the_square():
 
 def test_rank_variety_of_the_zero_module_is_zero():
     # every rank element, rank 0 included, acts freely on the zero module
-    zero = MatrixModule(P21, 0, {(i, j): [] for i in range(1, 4) for j in range(1, 4)}, ())
+    zero = MatrixModule(P21, 0, flat({(i, j): [] for i in range(1, 4) for j in range(1, 4)}), ())
     assert rank_variety(zero, 1) == 0 and rank_variety(zero, -1) == 0

@@ -281,6 +281,33 @@ def test_counting_refuses_non_integers_before_any_work(monkeypatch):
             fit_quasipolynomial(counts, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: polytope.brute_force_count(2, 2.5), "d must be an integer, got 2.5"),
+        (lambda: polytope.brute_force_count(2, True), "d must be an integer, got True"),
+        (lambda: polytope.build_polytope(2.5), "k must be an integer, got 2.5"),
+        (lambda: polytope.interior_witness(2.5), "k must be an integer, got 2.5"),
+        (lambda: polytope.check_count_cost(2.0, [5]), "k must be an integer, got 2.0"),
+        (lambda: polytope.check_count_cost(2, [5.5]), "d must be an integer, got 5.5"),
+        (lambda: polytope.check_count_cost(2, [3, True]), "d must be an integer, got True"),
+    ],
+    ids=[
+        "brute_force_count-float", "brute_force_count-bool", "build_polytope", "interior_witness",
+        "check_count_cost-k", "check_count_cost-d", "check_count_cost-bool",
+    ],
+)
+def test_polytope_calls_refuse_non_integers_before_any_work(monkeypatch, call, message):
+    # these raised a bare TypeError, or passed: check_count_cost(2.0, [5])
+    # and (2, [5.5]) predicted a cost, and brute_force_count(2, True) scanned d = 1
+    def no_system(*_args):
+        raise AssertionError("built the polytope before the integer check")
+
+    monkeypatch.setattr(polytope, "_system", no_system)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_vertices_and_denominator():
     verts = vertices(2)
     assert len(verts) == 6

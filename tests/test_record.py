@@ -19,7 +19,7 @@ from glsuper.weights import BlockDescriptor, Root, SuperParams, Weight
 
 P11 = SuperParams(1, 1)
 P21 = SuperParams(2, 1)
-GL11_ZERO = {unit: [{}] for unit in ((1, 1), (1, 2), (2, 1), (2, 2))}
+GL11_ZERO = {unit: ([], [], [0]) for unit in ((1, 1), (1, 2), (2, 1), (2, 2))}
 
 # one valid instance of each record, as its fields by keyword, in field order
 RECORDS = [
