@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from fractions import Fraction
 
 from .._record import Record
 from ..dimensions import weyl_dim_g0
@@ -190,7 +189,7 @@ def _induced_module(lam: Weight, side: int) -> MatrixModule:
             bracket_flat = [(actions[unit], coeff) for unit, coeff in brackets[head]]
             for u in range(dim_l0):
                 rest_col = rest_idx * dim_l0 + u
-                out: dict[int, int | Fraction] = defaultdict(int)
+                out: dict[int, "int | Fraction"] = defaultdict(int)
                 for (unit_rows, unit_vals, unit_ends), coeff in bracket_flat:
                     for pos in range(unit_ends[rest_col - 1] if rest_col else 0, unit_ends[rest_col]):
                         out[unit_rows[pos]] += coeff * unit_vals[pos]

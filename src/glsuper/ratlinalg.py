@@ -3,21 +3,26 @@
 Matrices use the sparse column layout below, with integer entries wherever
 they are integral: sparse products, and one fraction-free elimination,
 `sparse_pivots`, for ranks, pivot columns and the relations among columns
-(kernels and solves).  The dense `rref`, `zeros` and `mat_mul` have no
-caller in the package (tests/test_lint.py keeps it so); they stay for the
-tests' dense oracle, tests/dense_linalg.py, and because
-`perfbench/tracer.py` patches `rref` and `mat_mul` by name.
+(kernels and solves).  A Fraction is built, and `fractions` (which loads
+`decimal`) imported, only where a value is non-integral: in
+`sparse_relations` for a relation entry that does not divide, and in the
+dense routines, so integral work such as the gl(1|1) resolutions loads
+neither.  The dense `rref`, `zeros` and `mat_mul` have no caller in the
+package (tests/test_lint.py keeps it so); they stay for the tests' dense
+oracle, tests/dense_linalg.py, and because `perfbench/tracer.py` patches
+`rref` and `mat_mul` by name.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-Matrix = list[list[Fraction]]
+Matrix = list[list["Fraction"]]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
+    from fractions import Fraction
+
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
@@ -42,6 +47,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
+    from fractions import Fraction
+
     mat = [[Fraction(x) for x in row] for row in a]
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -68,7 +75,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 # column-major sparse helpers: cols[j] maps row index to a nonzero entry,
 # an int when the entry is integral and a Fraction otherwise
 
-SparseCols = list[dict[int, int | Fraction]]
+SparseCols = list[dict[int, "int | Fraction"]]
 
 
 def exact(value: int | Fraction) -> int | Fraction:
@@ -163,7 +170,12 @@ def sparse_relations(cols: SparseCols) -> tuple[int, dict[int, dict[int, int | F
         if low > top:
             # v / p as exact() gives it, without building a Fraction for an int
             p = vec[low]
-            relations[end - low] = {
-                end - i: v // p if v % p == 0 else Fraction(v, p) for i, v in vec.items()
-            }
+            relation = relations[end - low] = {}
+            for i, v in vec.items():
+                if v % p == 0:
+                    relation[end - i] = v // p
+                else:
+                    from fractions import Fraction  # only here: gl(1|1) relations are integral
+
+                    relation[end - i] = Fraction(v, p)
     return len(pivots) - len(relations), relations

@@ -19,7 +19,6 @@ from .weights import (
     SuperParams,
     Weight,
     atypicality,
-    is_dominant,
     length,
     weight_to_json,
 )
@@ -152,25 +151,45 @@ def build_S(params: SuperParams, k: int, d: int) -> WeightPairSet:
     """S(d): zeta-image pairs of the lattice points for k > 1, the diagonal mu^(a) family for k = 1."""
     require_int("d", d)
     block = block_B_descriptor(params, k)
-    key = block.block_key()
     pairs = []
     if k == 1:
         if d <= 6 * (params.m + params.n):
             raise DomainError(f"need d > 6(m+n) = {6 * (params.m + params.n)}")
+        key = block.block_key()
         for a in range(2 * d // 3 + 1, d + 1):
             w = mu_a(params, a, d)
             if atypicality(w).block_key() != key:
                 raise InternalCheckError(f"mu^({a}) leaves B")
             pairs.append((w, w))
     else:
+        # each half of a point recurs across many points; its image is built and checked once
+        images: dict[tuple[int, ...], Weight] = {}
         for point in enumerate_lattice_points(k, d):
-            mu = zeta(ZetaInput(params, k, point[:k]))
-            sigma = zeta(ZetaInput(params, k, point[k:]))
-            for w in (mu, sigma):
-                if not is_dominant(w) or atypicality(w).block_key() != key:
-                    raise InternalCheckError(f"zeta image {w} is not a dominant weight of B")
-            pairs.append((mu, sigma))
+            pair = []
+            for x in (point[:k], point[k:]):
+                w = images.get(x)
+                if w is None:
+                    w = images[x] = zeta(ZetaInput(params, k, x))
+                    if not _zeta_in_B(params, k, x):
+                        raise InternalCheckError(f"zeta image {w} is not a dominant weight of B")
+                pair.append(w)
+            pairs.append(tuple(pair))
     return WeightPairSet(d, tuple(pairs), block)
+
+
+def _zeta_in_B(params: SuperParams, k: int, x: tuple[int, ...]) -> bool:
+    """Whether zeta(x) is a dominant weight of B, read off x in closed form.
+
+    zeta(x) is dominant when x weakly decreases and x_1 <= 1, where the left
+    tail p, ..., 1 ends (the right tail -(q + 1), ... asks only x_1 <= q + 1);
+    with m >= n >= k, only m = k leaves no tail on either side.  The x values
+    x_i + k + 1 - i of lam + rho sit on both sides and pair with each other,
+    k atypical pairs.  They do not hit the fixed values, the closed-form
+    cores k + 2, ..., 2m - k and 2m - k + 2, ..., 2m + 2n - 3k: each side of
+    lam + rho strictly decreases, so its values are distinct, and the two
+    cores are disjoint.  So the block key is B's.
+    """
+    return all(a >= b for a, b in zip(x, x[1:])) and (x[0] <= 1 or params.m == k)
 
 
 def _recover_zeta_vector(w: Weight, params: SuperParams, k: int) -> tuple[int, ...]:

@@ -146,9 +146,11 @@ def _bare_modules() -> set[str]:
 def test_start_up_imports_no_costly_stdlib_module(argv, used, exit_code):
     # with no bytecode cached, importing the PEP 557 record module (and with
     # it inspect, ast, dis, tokenize) cost every op about 13 ms, and fractions
-    # with decimal 4 ms more, for one error message on the classify path
+    # with decimal 4 ms more, for one error message on the classify path and
+    # for values never built on the gl(1|1) path; only polytope and oracle.gt
+    # build a Fraction on every use
     avoided = {"dataclasses", "inspect"}
-    if argv[:1] in ([], ["classify"]):
+    if not used & {"polytope", "oracle.gt"}:
         avoided |= {"fractions", "decimal"}
     loaded = set(_ran(*argv)[3])
     assert avoided & loaded <= _bare_modules()

@@ -45,6 +45,21 @@ def test_dense_routines_stay_out_of_the_package():
     assert not found, f"dense routines used outside ratlinalg: {found}"
 
 
+def test_fractions_imported_at_top_level_only_where_every_use_builds_one():
+    # a module-level import of fractions (which loads decimal) costs every op
+    # that loads the module; polytope's vertices and oracle.gt's coefficients
+    # build Fractions on every use, the others import it where a value is
+    # non-integral
+    found = sorted(
+        str(path.relative_to(SOURCE))
+        for path in SOURCE.rglob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "fractions" in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+    )
+    assert found == ["oracle/gt.py", "polytope.py"]
+
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 

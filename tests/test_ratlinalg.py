@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glsuper
 from dense_linalg import mat_vec, nullspace, rank, solve, to_dense
 from glsuper.ratlinalg import (
     exact, mat_mul, rref, sparse_mul, sparse_pivots, sparse_rank, sparse_relations,
@@ -160,3 +165,46 @@ def test_sparse_relations_explicit_cases():
     _, relations = sparse_relations([{0: Fraction(2, 3)}, {0: Fraction(1, 3)}])
     assert relations == {1: {0: Fraction(-1, 2), 1: 1}}
     assert type(relations[1][0]) is Fraction and type(relations[1][1]) is int
+
+
+# each runs in a fresh interpreter, where nothing has imported fractions yet
+INTEGRAL_FIRST = """
+import sys
+from glsuper import ratlinalg
+ratlinalg.sparse_pivots
+print("fractions" in sys.modules or "decimal" in sys.modules)
+_, relations = ratlinalg.sparse_relations([{0: 1}, {0: 2, 1: 1}, {1: 3}, {0: 1, 1: -1}])
+print(relations, all(type(v) is int for vec in relations.values() for v in vec.values()))
+print("fractions" in sys.modules or "decimal" in sys.modules)
+print(ratlinalg.sparse_relations([{0: 2, 1: -4}, {0: -3, 1: 6}, {2: 1}, {0: 1, 1: -2, 2: 5}]))
+print(ratlinalg.sparse_relations([{0: 2}, {0: 3}, {0: -5, 1: 7}, {1: 2}]))
+"""
+DENSE_FIRST = """
+from glsuper import ratlinalg
+print(ratlinalg.zeros(1, 2), ratlinalg.rref([[2, 1], [4, 3]]), ratlinalg.mat_mul([[1, 2]], [[3], [4]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        (INTEGRAL_FIRST, [
+            "False",
+            "{2: {2: 1, 1: -3, 0: 6}, 3: {3: 1, 0: -3, 1: 1}} True",
+            "False",
+            # the parent's values and order, which built every entry as a Fraction first
+            "(2, {1: {1: 1, 0: Fraction(3, 2)}, 3: {3: 1, 0: Fraction(-1, 2), 2: -5}})",
+            "(2, {1: {1: 1, 0: Fraction(-3, 2)}, 3: {3: 1, 2: Fraction(-2, 7), 0: Fraction(-5, 7)}})",
+        ]),
+        (DENSE_FIRST, [
+            "[[Fraction(0, 1), Fraction(0, 1)]] ([[Fraction(1, 1), Fraction(0, 1)], "
+            "[Fraction(0, 1), Fraction(1, 1)]], [0, 1]) [[Fraction(11, 1)]]",
+        ]),
+    ],
+    ids=["sparse", "dense"],
+)
+def test_fractions_load_only_for_a_non_integral_value(script, expected):
+    env = {**os.environ, "PYTHONPATH": str(Path(glsuper.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected

@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import json
+import re
 
 import pytest
 
 from glsuper.dimensions import kac_ext_trivial
 from glsuper import suzhang
 from glsuper.errors import DomainError, InternalCheckError, ParameterError
-from glsuper.polytope import count_lattice_points
+from glsuper.polytope import count_lattice_points, enumerate_lattice_points
 from glsuper.suzhang import (
     ZetaInput,
     block_B_descriptor,
@@ -215,6 +217,41 @@ def test_build_S_k2_matches_lattice_count():
         for mu, sigma in s.pairs:
             assert atypicality(mu).block_key() == key
             assert atypicality(sigma).block_key() == key
+
+
+def zeta_in_B_slow(params, k, x):
+    """Whether zeta(x) is a dominant weight of B, by dominance and a full
+    atypicality of the weight: the gate build_S ran before the closed form."""
+    w = zeta(ZetaInput(params, k, x))
+    return is_dominant(w) and atypicality(w).block_key() == block_B_descriptor(params, k).block_key()
+
+
+@pytest.mark.parametrize(
+    "params, k, d",
+    [(P22, 2, 12), (P32, 2, 12), (SuperParams(4, 2), 2, 10), (P43, 2, 10),
+     (SuperParams(3, 3), 3, 6), (P43, 3, 6), (SuperParams(5, 4), 3, 6)],
+    ids=str,
+)
+def test_closed_form_zeta_gate_matches_atypicality(params, k, d):
+    points = enumerate_lattice_points(k, d)
+    halves = {point[:k] for point in points} | {point[k:] for point in points}
+    for x in halves:
+        assert suzhang._zeta_in_B(params, k, x) and zeta_in_B_slow(params, k, x), x
+    # a box around the polytope [-d, 0]^(2k) holds vectors of both verdicts
+    verdicts = set()
+    for x in itertools.product(range(-d - 2, 4), repeat=k):
+        fast = suzhang._zeta_in_B(params, k, x)
+        assert fast == zeta_in_B_slow(params, k, x), x
+        verdicts.add(fast)
+    assert verdicts == {True, False}
+
+
+def test_build_S_gate_refuses_a_zeta_image_outside_B(monkeypatch):
+    point = enumerate_lattice_points(2, 4)[0]
+    monkeypatch.setattr(suzhang, "_zeta_in_B", lambda params, k, x: x != point[:2])
+    w = zeta(ZetaInput(P32, 2, point[:2]))
+    with pytest.raises(InternalCheckError, match=re.escape(f"zeta image {w} is not a dominant weight of B")):
+        build_S(P32, 2, 4)
 
 
 # sha256 of build_S(...).to_json() dumped with sorted keys, recorded from the
